@@ -71,13 +71,13 @@ def _resolve_cache_dir(args) -> str:
 def _scan_with_cache(args):
     F = parse_factors(args.poly)
     cache = ScanCache(_resolve_cache_dir(args))
-    report = cache.scan_cached(F, args.limit, threads=args.threads)
+    report = cache.scan_cached(F, args.limit)
     return F, report
 
 
 def _cmd_scan(args):
     F, report = _scan_with_cache(args)
-    verdict = exceptional_verdict(F, args.limit, report=report, threads=args.threads)
+    verdict = exceptional_verdict(F, args.limit, report=report)
     return report_payload(report, verdict)
 
 
@@ -122,8 +122,8 @@ def _cmd_complete(args):
     g = cubic_resolvent_completion(h)
     combined = product_of([g, h])
     cache = ScanCache(_resolve_cache_dir(args))
-    report = cache.scan_cached(combined, args.limit, threads=args.threads)
-    verdict = exceptional_verdict(combined, args.limit, report=report, threads=args.threads)
+    report = cache.scan_cached(combined, args.limit)
+    verdict = exceptional_verdict(combined, args.limit, report=report)
     return {"quadratic": poly_text(g), "report": report_payload(report, verdict)}
 
 
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
         p.add_argument("--cache-dir", dest="cache_dir", default=None)
         p.add_argument("--pretty", action="store_true")
 

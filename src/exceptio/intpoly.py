@@ -28,9 +28,9 @@ from .nt import is_prime
 
 NEG_INFINITY = float("-inf")
 
-#: Default crossover between the residue sweep and the Frobenius-gcd root
-#: strategy in roots_mod_p.
-DEFAULT_SWEEP_THRESHOLD = 1 << 16
+#: Largest prime at which root finding and root tests sweep every residue
+#: instead of taking the Frobenius gcd.
+SWEEP_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def reduce_mod(f: IntPolynomial, p: int) -> ModPolynomial:
     return ModPolynomial(p, _mp_trim([c % p for c in f.coeffs]))
 
 
-def roots_mod_p(f: ModPolynomial, *, sweep_threshold: int = DEFAULT_SWEEP_THRESHOLD) -> list[int]:
+def roots_mod_p(f: ModPolynomial, *, sweep_threshold: int = SWEEP_THRESHOLD) -> list[int]:
     """All residues x in [0, p) with f(x) = 0 mod p, sorted ascending.
 
     Below the threshold every residue is tried directly.  Above it,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import EvenOrCompositeP
+
 # Deterministic Miller-Rabin witnesses, valid below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -30,6 +32,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """Euler's criterion, mapped into {-1, 0, 1}."""
+    if p == 2 or not is_prime(p):
+        raise EvenOrCompositeP(f"{p} is not an odd prime")
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -1,9 +1,13 @@
 """Prime sieving, root scanning over prime ranges, and exceptionality verdicts.
 
 A scan records, for every prime p up to a limit, whether some factor of a
-product has a root mod p.  Factors are tested individually with a
-short-circuit, so reports are deterministic and independent of how the
-prime range is partitioned across workers.
+product has a root mod p.  Each factor gets one root test, chosen once by its
+shape: linear factors always have a root, binomials x^n - c take a power
+residue test, quadratics Euler's criterion on the discriminant, and higher
+degrees a Frobenius kernel (x^p mod f, then a gcd with x^p - x), hand-unrolled
+for degrees 3 to 5.  Factors are tried in order with a short-circuit, each
+prime independently of the others, so failures scanned in chunks and merged
+in order equal a single pass and a cache can extend a scan by its tail.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from pathlib import Path
 
 from .errors import (
@@ -28,10 +32,8 @@ from .errors import (
 from .intpoly import (
     FactoredPolynomial,
     IntPolynomial,
-    _mp_eval,
+    SWEEP_THRESHOLD,
     _mp_gcd,
-    _mp_pow_mod,
-    _mp_sub,
     _mp_trim,
     factored_text,
     has_integer_root,
@@ -41,9 +43,6 @@ from .intpoly import (
 SIEVE_CAP = 10**9
 MODULUS_CAP = 10**8
 SCREEN_CAP = 10**6
-
-# Residue sweeps beat the Frobenius power only for quite small p here.
-_EXISTENCE_SWEEP_LIMIT = 256
 
 _SEGMENT = 1 << 17
 
@@ -113,70 +112,203 @@ def _sieve_cached(limit: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# per-prime root existence
+# per-prime root existence: one kernel per factor, chosen by its shape
+#
+# A monic f of degree d >= 3 has a root mod p exactly when gcd(f, x^p - x)
+# is not constant.  Its kernel computes x^p mod (f, p) left to right over
+# the bits of p on d plain integers, folding the square's terms of degree
+# d .. 2d-2 back with the reductions of those powers of x, and ends with one
+# gcd.  Residue sweeps take the small primes.
 # ---------------------------------------------------------------------------
 
 
 def _prepare_factor(f: IntPolynomial):
-    if f.degree == 1:
-        return ("linear", None)
+    """The root test of one monic factor, as a callable has_root(p) -> bool."""
     coeffs = f.coeffs
-    if all(c == 0 for c in coeffs[1:-1]):
-        # x^n - c: root existence is an n-th power residue test
-        return ("binomial", (len(coeffs) - 1, -coeffs[0]))
-    return ("generic", coeffs)
+    degree = len(coeffs) - 1
+    if degree == 1:
+        return _always
+    if not any(coeffs[1:-1]):
+        return _binomial_kernel(degree, -coeffs[0])
+    if degree == 2:
+        return _quadratic_kernel(f)
+    return _UNROLLED_KERNELS.get(degree, _frobenius_kernel)(f)
 
 
-def _binomial_has_root(n: int, c: int, p: int) -> bool:
-    c %= p
-    if c == 0:
-        return True
-    d = gcd(n, p - 1)
-    return pow(c, (p - 1) // d, p) == 1
+def _always(p: int) -> bool:
+    return True
 
 
-def _generic_has_root(coeffs, p: int) -> bool:
-    a = _mp_trim([c % p for c in coeffs])
-    if not a:
-        return True
-    if len(a) == 1:
-        return False
-    if len(a) == 2:
-        return True
-    if p <= _EXISTENCE_SWEEP_LIMIT:
-        return any(_mp_eval(a, x, p) == 0 for x in range(p))
-    xp = _mp_pow_mod((0, 1), p, a, p)
-    return len(_mp_gcd(a, _mp_sub(xp, (0, 1), p), p)) > 1
+def _binomial_kernel(n: int, c: int):
+    """x^n - c has a root mod p iff c is 0 or an n-th power residue."""
+
+    def has_root(p: int) -> bool:
+        r = c % p
+        return r == 0 or pow(r, (p - 1) // gcd(n, p - 1), p) == 1
+
+    return has_root
+
+
+def _quadratic_kernel(f: IntPolynomial):
+    """Euler's criterion on the discriminant a1^2 - 4 a0 for odd p."""
+    a0, a1, _ = f.coeffs
+    disc = a1 * a1 - 4 * a0
+
+    def has_root(p: int) -> bool:
+        if p == 2:
+            return has_root_mod_m(f, p) is not None
+        d = disc % p
+        return d == 0 or pow(d, (p - 1) // 2, p) == 1
+
+    return has_root
+
+
+def _times_x(r, c, p: int) -> list[int]:
+    """r * x mod (f, p), for r of degree < d and x^d = c mod (f, p)."""
+    top = r[-1]
+    return [(low + top * ci) % p for low, ci in zip([0, *r[:-1]], c)]
+
+
+def _reduction_rows(coeffs, p: int) -> list[list[int]]:
+    """x^d, ..., x^(2d-2) mod (f, p) for monic f of degree d."""
+    rows = [[-a % p for a in coeffs[:-1]]]
+    for _ in range(len(coeffs) - 3):
+        rows.append(_times_x(rows[-1], rows[0], p))
+    return rows
+
+
+def _gcd_has_root(coeffs, xp, p: int) -> bool:
+    """Whether gcd(f, x^p - x) is non-constant mod p, given x^p mod (f, p)
+    with coefficients in [0, p)."""
+    diff = list(xp)
+    diff[1] = (diff[1] - 1) % p
+    return len(_mp_gcd([a % p for a in coeffs], _mp_trim(diff), p)) > 1
+
+
+def _cubic_kernel(f: IntPolynomial):
+    coeffs = f.coeffs
+
+    def has_root(p: int) -> bool:
+        if p <= SWEEP_THRESHOLD:
+            return has_root_mod_m(f, p) is not None
+        (c0, c1, c2), (e0, e1, e2) = _reduction_rows(coeffs, p)
+        r0, r1, r2 = 0, 1, 0
+        for bit in bin(p)[3:]:
+            s3, s4 = 2 * r1 * r2, r2 * r2
+            r0, r1, r2 = (
+                (r0 * r0 + s3 * c0 + s4 * e0) % p,
+                (2 * r0 * r1 + s3 * c1 + s4 * e1) % p,
+                (r1 * r1 + 2 * r0 * r2 + s3 * c2 + s4 * e2) % p,
+            )
+            if bit == "1":
+                r0, r1, r2 = r2 * c0 % p, (r0 + r2 * c1) % p, (r1 + r2 * c2) % p
+        return _gcd_has_root(coeffs, (r0, r1, r2), p)
+
+    return has_root
+
+
+def _quartic_kernel(f: IntPolynomial):
+    coeffs = f.coeffs
+
+    def has_root(p: int) -> bool:
+        if p <= SWEEP_THRESHOLD:
+            return has_root_mod_m(f, p) is not None
+        (c0, c1, c2, c3), (e0, e1, e2, e3), (g0, g1, g2, g3) = _reduction_rows(coeffs, p)
+        r0, r1, r2, r3 = 0, 1, 0, 0
+        for bit in bin(p)[3:]:
+            s4, s5, s6 = r2 * r2 + 2 * r1 * r3, 2 * r2 * r3, r3 * r3
+            r0, r1, r2, r3 = (
+                (r0 * r0 + s4 * c0 + s5 * e0 + s6 * g0) % p,
+                (2 * r0 * r1 + s4 * c1 + s5 * e1 + s6 * g1) % p,
+                (r1 * r1 + 2 * r0 * r2 + s4 * c2 + s5 * e2 + s6 * g2) % p,
+                (2 * (r0 * r3 + r1 * r2) + s4 * c3 + s5 * e3 + s6 * g3) % p,
+            )
+            if bit == "1":
+                r0, r1, r2, r3 = r3 * c0 % p, (r0 + r3 * c1) % p, (r1 + r3 * c2) % p, (r2 + r3 * c3) % p
+        return _gcd_has_root(coeffs, (r0, r1, r2, r3), p)
+
+    return has_root
+
+
+def _quintic_kernel(f: IntPolynomial):
+    coeffs = f.coeffs
+
+    def has_root(p: int) -> bool:
+        if p <= SWEEP_THRESHOLD:
+            return has_root_mod_m(f, p) is not None
+        rows = _reduction_rows(coeffs, p)
+        (c0, c1, c2, c3, c4), (e0, e1, e2, e3, e4), (g0, g1, g2, g3, g4), (h0, h1, h2, h3, h4) = rows
+        r0, r1, r2, r3, r4 = 0, 1, 0, 0, 0
+        for bit in bin(p)[3:]:
+            s5, s6 = 2 * (r1 * r4 + r2 * r3), r3 * r3 + 2 * r2 * r4
+            s7, s8 = 2 * r3 * r4, r4 * r4
+            r0, r1, r2, r3, r4 = (
+                (r0 * r0 + s5 * c0 + s6 * e0 + s7 * g0 + s8 * h0) % p,
+                (2 * r0 * r1 + s5 * c1 + s6 * e1 + s7 * g1 + s8 * h1) % p,
+                (r1 * r1 + 2 * r0 * r2 + s5 * c2 + s6 * e2 + s7 * g2 + s8 * h2) % p,
+                (2 * (r0 * r3 + r1 * r2) + s5 * c3 + s6 * e3 + s7 * g3 + s8 * h3) % p,
+                (r2 * r2 + 2 * (r0 * r4 + r1 * r3) + s5 * c4 + s6 * e4 + s7 * g4 + s8 * h4) % p,
+            )
+            if bit == "1":
+                r0, r1, r2, r3, r4 = (
+                    r4 * c0 % p,
+                    (r0 + r4 * c1) % p,
+                    (r1 + r4 * c2) % p,
+                    (r2 + r4 * c3) % p,
+                    (r3 + r4 * c4) % p,
+                )
+        return _gcd_has_root(coeffs, (r0, r1, r2, r3, r4), p)
+
+    return has_root
+
+
+def _frobenius_kernel(f: IntPolynomial):
+    """Any degree >= 3: the same computation as one fixed-length list loop."""
+    coeffs = f.coeffs
+    d = len(coeffs) - 1
+
+    def has_root(p: int) -> bool:
+        if p <= SWEEP_THRESHOLD:
+            return has_root_mod_m(f, p) is not None
+        rows = _reduction_rows(coeffs, p)
+        columns = list(zip(*rows))
+        r = [0] * d
+        r[1] = 1
+        for bit in bin(p)[3:]:
+            s = [0] * (2 * d - 1)
+            for i, ri in enumerate(r):
+                k = 2 * i
+                s[k] += ri * ri
+                twice = 2 * ri
+                for rj in r[i + 1 :]:
+                    k += 1
+                    s[k] += twice * rj
+            high = s[d:]
+            r = [(si + sum(map(mul, high, column))) % p for si, column in zip(s, columns)]
+            if bit == "1":
+                r = _times_x(r, rows[0], p)
+        return _gcd_has_root(coeffs, r, p)
+
+    return has_root
+
+
+_UNROLLED_KERNELS = {3: _cubic_kernel, 4: _quartic_kernel, 5: _quintic_kernel}
 
 
 def _scan_chunk(prepared, primes) -> list[int]:
+    """The primes, in order, at which none of the prepared root tests succeeds."""
     failures = []
     for p in primes:
-        for kind, data in prepared:
-            if kind == "linear":
-                break
-            if kind == "binomial":
-                if _binomial_has_root(data[0], data[1], p):
-                    break
-            elif _generic_has_root(data, p):
+        for has_root in prepared:
+            if has_root(p):
                 break
         else:
             failures.append(p)
     return failures
 
 
-def _scan_primes(F: FactoredPolynomial, primes, threads: int = 1) -> tuple[int, ...]:
-    prepared = [_prepare_factor(f) for f in F.factors]
-    if threads <= 1 or len(primes) < 4096:
-        return tuple(_scan_chunk(prepared, primes))
-    bounds = [len(primes) * i // threads for i in range(threads + 1)]
-    chunks = [primes[bounds[i] : bounds[i + 1]] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _scan_chunk(prepared, c), chunks))
-    merged: list[int] = []
-    for part in parts:
-        merged.extend(part)
-    return tuple(merged)
+def _scan_primes(F: FactoredPolynomial, primes) -> tuple[int, ...]:
+    return tuple(_scan_chunk([_prepare_factor(f) for f in F.factors], primes))
 
 
 def _build_report(F: FactoredPolynomial, limit: int, failures) -> ScanReport:
@@ -191,12 +323,12 @@ def _build_report(F: FactoredPolynomial, limit: int, failures) -> ScanReport:
     )
 
 
-def scan(F: FactoredPolynomial, limit: int, threads: int = 1) -> ScanReport:
+def scan(F: FactoredPolynomial, limit: int) -> ScanReport:
     """Scan all primes up to limit for roots of the factors of F."""
     if limit < 2:
         raise BadParameters("scan limit must be at least 2")
     primes = sieve_primes(limit).primes
-    return _build_report(F, limit, _scan_primes(F, primes, threads))
+    return _build_report(F, limit, _scan_primes(F, primes))
 
 
 def empirical_density(report: ScanReport) -> Fraction:
@@ -208,7 +340,6 @@ def exceptional_verdict(
     F: FactoredPolynomial,
     limit: int,
     report: ScanReport | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Classify F as having an integer root, provably not exceptional, or
     exceptional as far as the scan can tell.
@@ -223,7 +354,7 @@ def exceptional_verdict(
         if root is not None:
             return Verdict("HasIntegerRoot", root=root)
     if report is None or report.limit != limit:
-        report = scan(F, limit, threads)
+        report = scan(F, limit)
     for p in report.failures:
         if report.delta % p != 0:
             return Verdict("NotExceptional", witness_prime=p)
@@ -312,7 +443,7 @@ class ScanCache:
         except OSError as exc:
             raise CacheIoError(f"cannot write {path}: {exc}")
 
-    def scan_cached(self, F: FactoredPolynomial, limit: int, threads: int = 1) -> ScanReport:
+    def scan_cached(self, F: FactoredPolynomial, limit: int) -> ScanReport:
         if limit < 2:
             raise BadParameters("scan limit must be at least 2")
         key = factored_text(F)
@@ -331,7 +462,7 @@ class ScanCache:
         base_limit, base_failures = entries[-1] if entries else (0, ())
         primes = sieve_primes(limit).primes
         tail = primes[bisect_right(primes, base_limit) :]
-        failures = base_failures + _scan_primes(F, tail, threads)
+        failures = base_failures + _scan_primes(F, tail)
         self.append(key, limit, failures)
         return _build_report(F, limit, failures)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadParameters,
-    EvenOrCompositeP,
     NoCandidateInRange,
     NotCubic,
     ReducibleCubic,
@@ -27,7 +26,7 @@ from .intpoly import (
     make_poly,
     product_of,
 )
-from .nt import is_prime, is_square, is_squarefree_int
+from .nt import is_prime, is_square, is_squarefree_int, legendre_symbol
 from .primescan import has_root_mod_m, scan
 
 
@@ -52,14 +51,6 @@ class CompletionReport:
     @property
     def ok(self) -> bool:
         return not self.violating_primes and not self.violating_powers
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Euler's criterion, mapped into {-1, 0, 1}."""
-    if p == 2 or not is_prime(p):
-        raise EvenOrCompositeP(f"{p} is not an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def cubic_resolvent_completion(h: IntPolynomial) -> IntPolynomial:

@@ -14,8 +14,9 @@ from exceptio.primescan import (
     intersective_screen,
     report_payload,
     scan,
-    _scan_chunk,
+    _frobenius_kernel,
     _prepare_factor,
+    _scan_chunk,
     sieve_primes,
 )
 
@@ -76,9 +77,7 @@ def test_scan_failures_are_prefix_stable():
 
 
 def test_scan_deterministic_under_partitioning():
-    report_seq = scan(QUINTIC, 20_000, threads=1)
-    report_par = scan(QUINTIC, 20_000, threads=4)
-    assert report_seq == report_par
+    report_seq = scan(QUINTIC, 20_000)
     # explicit fragment merge equals the sequential scan
     primes = sieve_primes(20_000).primes
     prepared = [_prepare_factor(f) for f in QUINTIC.factors]
@@ -99,6 +98,54 @@ def test_scan_generic_path_agrees_with_fast_paths():
         sample = rng.sample(primes, 60)
         for p in sample:
             assert (p in fails) == (not roots_by_sweep(coeffs, p)), (coeffs, p)
+
+
+def _has_root_by_sweep(coeffs, p):
+    return any(eval_poly(coeffs, x) % p == 0 for x in range(p))
+
+
+def test_root_kernels_match_residue_sweep():
+    # every degree-chosen kernel: all primes to 300 (p = 2, 3 and both sides
+    # of the sweep limit) plus a sample of primes to 10^4
+    rng = random.Random(11)
+    small = primes_by_trial_division(300)
+    large = [p for p in sieve_primes(10_000).primes if p > 300]
+    for degree in range(2, 9):
+        for _ in range(4):
+            coeffs = [rng.randint(-50, 50) for _ in range(degree)] + [1]
+            kernels = [_prepare_factor(make_poly(coeffs))]
+            if 3 <= degree <= 5:  # the generic list loop on the unrolled degrees too
+                kernels.append(_frobenius_kernel(make_poly(coeffs)))
+            for p in small + rng.sample(large, 8):
+                expected = _has_root_by_sweep(coeffs, p)
+                assert [has_root(p) for has_root in kernels] == [expected] * len(kernels), (coeffs, p)
+
+
+def test_root_kernels_on_degenerate_reductions():
+    # f mod p divisible by x, f mod p a binomial, quadratics with p | disc
+    rng = random.Random(12)
+    for p in (2, 3, 5, 7, 257, 263, 1009, 7919):
+        for degree in range(3, 8):
+            middle = [p * rng.randint(1, 9) for _ in range(degree - 1)]
+            with_x = [p * rng.randint(-9, 9)] + [rng.randint(-50, 50) for _ in range(degree - 1)] + [1]
+            binomial = [rng.randint(-50, 50)] + middle + [1]
+            for coeffs in (with_x, binomial):
+                assert _prepare_factor(make_poly(coeffs))(p) == _has_root_by_sweep(coeffs, p), (coeffs, p)
+        for _ in range(5):
+            r, t = rng.randint(1, 50), rng.randint(1, 9)
+            # x^2 - 2r x + r^2 + p t has discriminant -4 p t and a double root r mod p
+            coeffs = [r * r + p * t, -2 * r, 1]
+            assert _prepare_factor(make_poly(coeffs))(p), (coeffs, p)
+            assert _has_root_by_sweep(coeffs, p)
+
+
+def test_scan_chunk_mixed_product_matches_sweep():
+    factors = [[-5, 0, 0, 1], [7, 3, 1], [3, 1, 0, 0, 0, 1], [-2, 5, 1, 0, -3, 0, 1]]
+    prepared = [_prepare_factor(make_poly(c)) for c in factors]
+    primes = sieve_primes(1500).primes
+    expected = [p for p in primes if not any(_has_root_by_sweep(c, p) for c in factors)]
+    assert expected  # the product fails somewhere, so the merge is exercised
+    assert _scan_chunk(prepared, primes) == expected
 
 
 def test_exceptional_verdict_examples():
