@@ -5,14 +5,22 @@ product has a root mod p.  Each factor gets one root test, chosen once by its
 shape: linear factors always have a root, binomials x^n - c take a power
 residue test, quadratics Euler's criterion on the discriminant, and higher
 degrees a Frobenius kernel (x^p mod f, then a gcd with x^p - x), hand-unrolled
-for degrees 3 to 5.  Factors are tried in order with a short-circuit, each
-prime independently of the others, so failures scanned in chunks and merged
-in order equal a single pass and a cache can extend a scan by its tail.
+for degrees 3 to 5.  Cubics first take Stickelberger's parity test: when
+disc(f) is a non-residue mod an odd p not dividing it, f splits as 1 + 2 and
+has a root with no Frobenius step (as it does when p divides disc(f)).
+Factors are tried cheapest first (one pow before the Frobenius kernels, those
+by degree) with a short-circuit, each prime independently of the others, so
+failures scanned in chunks and merged in order equal a single pass and a
+cache can extend a scan by its tail.
+
+An in-process verdict without a report stops at the first witness prime, a
+failure not dividing the ramified bound; given a report (the CLI passes the
+one it prints, so `exceptio verdict` still scans the full range) it reads the
+report's full failure set instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -35,6 +43,7 @@ from .intpoly import (
     SWEEP_THRESHOLD,
     _mp_gcd,
     _mp_trim,
+    discriminant,
     factored_text,
     has_integer_root,
     ramified_prime_bound,
@@ -135,6 +144,18 @@ def _prepare_factor(f: IntPolynomial):
     return _UNROLLED_KERNELS.get(degree, _frobenius_kernel)(f)
 
 
+def _prepare_factors(F: FactoredPolynomial) -> list:
+    """The root tests of F's factors, cheapest first: linear, then one pow
+    (binomials and quadratics), then the Frobenius kernels by degree.  The
+    per-prime answer is an OR, so the order changes only the work done."""
+    return [_prepare_factor(f) for f in sorted(F.factors, key=_test_cost)]
+
+
+def _test_cost(f: IntPolynomial) -> int:
+    degree = f.degree
+    return degree if degree > 2 and any(f.coeffs[1:-1]) else min(degree, 2)
+
+
 def _always(p: int) -> bool:
     return True
 
@@ -187,8 +208,15 @@ def _gcd_has_root(coeffs, xp, p: int) -> bool:
 
 def _cubic_kernel(f: IntPolynomial):
     coeffs = f.coeffs
+    disc = discriminant(f)
 
     def has_root(p: int) -> bool:
+        # Stickelberger: for odd p not dividing disc, (disc/p) = (-1)^(3 - r)
+        # with r irreducible factors mod p, so a non-residue means 1 + 2.
+        # When p divides disc, f mod p has a repeated factor, which for a
+        # cubic is linear: a root too.
+        if p > 2 and pow(disc % p, (p - 1) // 2, p) != 1:
+            return True
         if p <= SWEEP_THRESHOLD:
             return has_root_mod_m(f, p) is not None
         (c0, c1, c2), (e0, e1, e2) = _reduction_rows(coeffs, p)
@@ -295,20 +323,24 @@ def _frobenius_kernel(f: IntPolynomial):
 _UNROLLED_KERNELS = {3: _cubic_kernel, 4: _quartic_kernel, 5: _quintic_kernel}
 
 
-def _scan_chunk(prepared, primes) -> list[int]:
-    """The primes, in order, at which none of the prepared root tests succeeds."""
-    failures = []
+def _failures(prepared, primes):
+    """Yield, in order, the primes at which none of the prepared root tests
+    succeeds."""
     for p in primes:
         for has_root in prepared:
             if has_root(p):
                 break
         else:
-            failures.append(p)
-    return failures
+            yield p
+
+
+def _scan_chunk(prepared, primes) -> list[int]:
+    """The primes, in order, at which none of the prepared root tests succeeds."""
+    return list(_failures(prepared, primes))
 
 
 def _scan_primes(F: FactoredPolynomial, primes) -> tuple[int, ...]:
-    return tuple(_scan_chunk([_prepare_factor(f) for f in F.factors], primes))
+    return tuple(_failures(_prepare_factors(F), primes))
 
 
 def _build_report(F: FactoredPolynomial, limit: int, failures) -> ScanReport:
@@ -348,17 +380,28 @@ def exceptional_verdict(
     certificate: at such a prime the factorisation pattern forces a
     positive density of rootless primes.  Positive verdicts stay 'Likely'
     because no scan limit can certify exceptionality.
+
+    Without a report for this limit the scan stops at the first witness;
+    the answer equals the one read from a full report.
     """
     for f in F.factors:
         root = has_integer_root(f)
         if root is not None:
             return Verdict("HasIntegerRoot", root=root)
-    if report is None or report.limit != limit:
-        report = scan(F, limit)
-    for p in report.failures:
-        if report.delta % p != 0:
+    if report is not None and report.limit == limit:
+        delta, failures = report.delta, report.failures
+    else:
+        if limit < 2:
+            raise BadParameters("scan limit must be at least 2")
+        primes = sieve_primes(limit).primes
+        delta = ramified_prime_bound(F)
+        failures = _failures(_prepare_factors(F), primes)
+    seen = []
+    for p in failures:
+        if delta % p != 0:
             return Verdict("NotExceptional", witness_prime=p)
-    return Verdict("ExceptionalLikely", failures=report.failures)
+        seen.append(p)
+    return Verdict("ExceptionalLikely", failures=tuple(seen))
 
 
 def has_root_mod_m(f: IntPolynomial, m: int):
@@ -407,6 +450,8 @@ class ScanCache:
         self.root = Path(root)
 
     def path_for(self, poly_key: str) -> Path:
+        import hashlib  # deferred: it loads libcrypto, and only cache names use it
+
         slug = re.sub(r"[^0-9a-zA-Z._+-]+", "_", poly_key)[:80]
         digest = hashlib.sha256(poly_key.encode()).hexdigest()[:12]
         return self.root / f"{slug}__{digest}.scan"

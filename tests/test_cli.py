@@ -1,9 +1,14 @@
 """CLI envelopes, exit codes, flags, cache wiring."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exceptio
 from exceptio.cli import main
 
 ENVELOPE_KEYS = ["version", "subcommand", "inputs", "result", "elapsed_ms"]
@@ -193,3 +198,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_kummer_flags_mutually_exclusive(capsys):
     code, _, _ = run_cli(capsys, "kummer", "--p", "2", "--primes", "2", "--radicands", "2")
     assert code == 2
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads libcrypto; only cache file names need it
+    src = str(Path(exceptio.__file__).resolve().parents[1])
+    code = "import sys, exceptio.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

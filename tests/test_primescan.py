@@ -1,11 +1,12 @@
 """Prime scanning: sieve, failure sets, verdicts, screen, cache."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from exceptio import errors
-from exceptio.intpoly import make_poly, parse_factors, product_of
+from exceptio.intpoly import SWEEP_THRESHOLD, discriminant, make_poly, multiply, parse_factors, product_of
 from exceptio.primescan import (
     ScanCache,
     empirical_density,
@@ -106,23 +107,31 @@ def _has_root_by_sweep(coeffs, p):
 
 def test_root_kernels_match_residue_sweep():
     # every degree-chosen kernel: all primes to 300 (p = 2, 3 and both sides
-    # of the sweep limit) plus a sample of primes to 10^4
+    # of the sweep limit) plus a sample of primes to 10^4; cubics also the
+    # cyclic x^3 - 3x + 1 (disc 81, so the Stickelberger test never decides)
+    # and more random ones at more primes above the sweep limit
     rng = random.Random(11)
     small = primes_by_trial_division(300)
     large = [p for p in sieve_primes(10_000).primes if p > 300]
+    inputs = []
     for degree in range(2, 9):
         for _ in range(4):
-            coeffs = [rng.randint(-50, 50) for _ in range(degree)] + [1]
-            kernels = [_prepare_factor(make_poly(coeffs))]
-            if 3 <= degree <= 5:  # the generic list loop on the unrolled degrees too
-                kernels.append(_frobenius_kernel(make_poly(coeffs)))
-            for p in small + rng.sample(large, 8):
-                expected = _has_root_by_sweep(coeffs, p)
-                assert [has_root(p) for has_root in kernels] == [expected] * len(kernels), (coeffs, p)
+            inputs.append(([rng.randint(-50, 50) for _ in range(degree)] + [1], small + rng.sample(large, 8)))
+    above = [p for p in large if p > SWEEP_THRESHOLD]
+    for coeffs in [[1, -3, 0, 1]] + [[rng.randint(-50, 50) for _ in range(3)] + [1] for _ in range(8)]:
+        inputs.append((coeffs, small + rng.sample(above, 24)))
+    for coeffs, primes in inputs:
+        kernels = [_prepare_factor(make_poly(coeffs))]
+        if 3 <= len(coeffs) - 1 <= 5:  # the generic list loop on the unrolled degrees too
+            kernels.append(_frobenius_kernel(make_poly(coeffs)))
+        for p in primes:
+            expected = _has_root_by_sweep(coeffs, p)
+            assert [has_root(p) for has_root in kernels] == [expected] * len(kernels), (coeffs, p)
 
 
 def test_root_kernels_on_degenerate_reductions():
-    # f mod p divisible by x, f mod p a binomial, quadratics with p | disc
+    # f mod p divisible by x, f mod p a binomial, cubics and quadratics with
+    # p | disc
     rng = random.Random(12)
     for p in (2, 3, 5, 7, 257, 263, 1009, 7919):
         for degree in range(3, 8):
@@ -131,6 +140,13 @@ def test_root_kernels_on_degenerate_reductions():
             binomial = [rng.randint(-50, 50)] + middle + [1]
             for coeffs in (with_x, binomial):
                 assert _prepare_factor(make_poly(coeffs))(p) == _has_root_by_sweep(coeffs, p), (coeffs, p)
+        for _ in range(5):
+            # (x - r)^2 (x - s) + p g with deg g <= 2 has a double root mod p
+            r, s = rng.randint(-50, 50), rng.randint(-50, 50)
+            lift = [p * rng.randint(-9, 9) for _ in range(3)]
+            coeffs = [a + b for a, b in zip([-r * r * s, r * r + 2 * r * s, -2 * r - s], lift)] + [1]
+            assert discriminant(make_poly(coeffs)) % p == 0
+            assert _prepare_factor(make_poly(coeffs))(p) == _has_root_by_sweep(coeffs, p), (coeffs, p)
         for _ in range(5):
             r, t = rng.randint(1, 50), rng.randint(1, 9)
             # x^2 - 2r x + r^2 + p t has discriminant -4 p t and a double root r mod p
@@ -146,6 +162,9 @@ def test_scan_chunk_mixed_product_matches_sweep():
     expected = [p for p in primes if not any(_has_root_by_sweep(c, p) for c in factors)]
     assert expected  # the product fails somewhere, so the merge is exercised
     assert _scan_chunk(prepared, primes) == expected
+    # factors are tried cheapest first; the failure set is the same in any order
+    for perm in permutations(factors):
+        assert scan(product_of([make_poly(c) for c in perm]), 1500).failures == tuple(expected), perm
 
 
 def test_exceptional_verdict_examples():
@@ -163,15 +182,46 @@ def test_exceptional_verdict_examples():
     assert trivial.tag == "HasIntegerRoot"
     assert trivial.root == 1
 
+    with pytest.raises(errors.BadParameters):
+        exceptional_verdict(QUINTIC, 1)
+
+
+def _generic_factor(rng, degree):
+    return [rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(degree - 2)] + [1]
+
 
 def test_verdict_witness_consistency():
-    for text, limit in [("x^2-2", 200), ("x^2-5", 200), ("x^3-2; x^2+1", 500)]:
-        F = parse_factors(text)
+    # the verdict that stops at the first witness equals the one read from a
+    # full report: seeded generic factors of degree 2-6, mixed binomial and
+    # generic products, and cubics times their resolvent x^2 - disc, which
+    # are exceptional, so the whole failure set must match
+    rng = random.Random(13)
+    # x^4+2x^2+4 = (x^2+1)^2 mod 3 fails first at the ramified prime 3
+    texts = [("x^2-2", 200), ("x^2-5", 200), ("x^3-2; x^2+1", 500), ("x^4+2x^2+4", 4), ("x^4+2x^2+4", 200)]
+    inputs = [(parse_factors(text), limit) for text, limit in texts]
+    for degree in range(2, 7):
+        inputs += [(product_of([make_poly(_generic_factor(rng, degree))]), 3000) for _ in range(3)]
+    for _ in range(8):
+        n = rng.choice((2, 3))
+        binomial = [rng.choice((-1, 1)) * rng.randint(2, 60)] + [0] * (n - 1) + [1]
+        factors = [binomial, _generic_factor(rng, rng.randint(2, 5))]
+        rng.shuffle(factors)
+        inputs.append((product_of([make_poly(c) for c in factors]), 3000))
+    resolvents = 0
+    while resolvents < 3:
+        cubic = make_poly(_generic_factor(rng, 3))
+        F = product_of([cubic, make_poly([-discriminant(cubic), 0, 1])])
+        if exceptional_verdict(F, 3000).tag == "ExceptionalLikely":
+            inputs.append((F, 3000))
+            resolvents += 1
+    for F, limit in inputs:
         verdict = exceptional_verdict(F, limit)
         report = scan(F, limit)
+        assert verdict == exceptional_verdict(F, limit, report=report), F.factors
         if verdict.tag == "NotExceptional":
             assert report.delta % verdict.witness_prime != 0
         elif verdict.tag == "ExceptionalLikely":
+            assert verdict.failures == report.failures
             assert all(report.delta % p == 0 for p in verdict.failures)
 
 
@@ -285,16 +335,21 @@ def test_pattern_frequencies_match_cycle_type_densities():
 
 
 def test_scan_propagates_polynomial_errors():
-    # scan computes the ramified bound, so ineligible inputs surface the
-    # underlying polynomial errors
+    # scan and the verdict compute the ramified bound, so ineligible inputs
+    # surface the underlying polynomial errors
     shared_root = product_of([make_poly([-2, 0, 1]), make_poly([-2, 0, 1])])
     with pytest.raises(errors.ZeroResultant):
         scan(shared_root, 100)
-    from exceptio.intpoly import multiply
+    with pytest.raises(errors.ZeroResultant):
+        exceptional_verdict(shared_root, 100)
 
     squared = product_of([multiply(make_poly([-1, 1]), make_poly([-1, 1]))])
     with pytest.raises(errors.NotSquareFree):
         scan(squared, 100)
+    # the integer root is found before the bound is computed
+    assert exceptional_verdict(squared, 100).tag == "HasIntegerRoot"
+    with pytest.raises(errors.NotSquareFree):
+        exceptional_verdict(product_of([multiply(make_poly([-2, 0, 1]), make_poly([-2, 0, 1]))]), 100)
 
 
 def test_report_payload_schema():
