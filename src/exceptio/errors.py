@@ -53,6 +53,10 @@ class ParseError(ExceptioError):
     code = "ParseError"
 
 
+class RootBoundTooLarge(ExceptioError):
+    code = "RootBoundTooLarge"
+
+
 # primescan
 class LimitTooLarge(ExceptioError):
     code = "LimitTooLarge"

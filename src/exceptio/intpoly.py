@@ -19,18 +19,23 @@ from .errors import (
     NotPrime,
     NotSquareFree,
     ParseError,
+    RootBoundTooLarge,
     ZeroFactor,
     ZeroModP,
     ZeroPolynomial,
     ZeroResultant,
 )
-from .nt import is_prime
+from .nt import MR_DETERMINISTIC_LIMIT, divisors_ascending, is_prime
 
 NEG_INFINITY = float("-inf")
 
 #: Largest prime at which root finding and root tests sweep every residue
 #: instead of taking the Frobenius gcd.
 SWEEP_THRESHOLD = 256
+
+#: Constant terms below this size (in absolute value) find integer roots by
+#: walking their divisors; larger ones by the roots mod one prime.
+DIVISOR_WALK_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -142,10 +147,16 @@ def product_of(factors) -> FactoredPolynomial:
 
 
 def has_integer_root(f: IntPolynomial):
-    """Some integer root of f, or None.
+    """Some integer root of f, or None: the one with the smallest |r|, the
+    positive one first.
 
-    Candidates are 0 and the (signed) divisors of the constant term; any
-    integer root of an integer polynomial lies among them.
+    Every integer root divides the constant term c0 (when c0 != 0).  For
+    |c0| < DIVISOR_WALK_LIMIT the signed divisors of c0 are tried in
+    ascending order.  Above it, the roots of f mod the smallest prime
+    p > 2B, with B the Cauchy bound 1 + max|a_i| / |a_n|, are lifted to
+    their representatives in (-p/2, p/2) and checked by exact evaluation:
+    every integer root lies within B, so it is one of them.  A prime beyond
+    the deterministic range of `nt.is_prime` raises RootBoundTooLarge.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has every root")
@@ -154,21 +165,28 @@ def has_integer_root(f: IntPolynomial):
     c0 = f.coeffs[0]
     if c0 == 0:
         return 0
-    a = abs(c0)
-    small, large = [], []
-    d = 1
-    while d * d <= a:
-        if a % d == 0:
-            small.append(d)
-            if d * d != a:
-                large.append(a // d)
-        d += 1
-    for d in small + large[::-1]:
-        if f.evaluate(d) == 0:
-            return d
-        if f.evaluate(-d) == 0:
-            return -d
-    return None
+    if abs(c0) < DIVISOR_WALK_LIMIT:
+        for d in divisors_ascending(abs(c0)):
+            if f.evaluate(d) == 0:
+                return d
+            if f.evaluate(-d) == 0:
+                return -d
+        return None
+    # dividing out the content keeps the roots and makes f nonzero mod p
+    f = _positive_primitive(f)
+    coeffs = f.coeffs
+    bound = 1 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
+    p = 2 * bound + 1
+    while p < MR_DETERMINISTIC_LIMIT and not is_prime(p):
+        p += 1
+    if p >= MR_DETERMINISTIC_LIMIT:
+        raise RootBoundTooLarge(
+            f"root bound {bound} of {poly_text(f)} needs a prime beyond "
+            f"the deterministic primality range"
+        )
+    lifts = (r - p if 2 * r > p else r for r in roots_mod_p(reduce_mod(f, p)))
+    roots = [r for r in lifts if f.evaluate(r) == 0]
+    return min(roots, key=lambda r: (abs(r), r < 0)) if roots else None
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +460,6 @@ def _ip_deg(c) -> int:
     return len(c) - 1 if c else -1
 
 
-def _ip_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def _ip_content(c) -> int:
     g = 0
     for v in c:
@@ -471,7 +483,7 @@ def _ip_prem(a, b) -> tuple[int, ...]:
         r = [d * v for v in r]
         for j in range(db + 1):
             r[shift + j] -= lead * b[j]
-        r = list(_ip_trim(r))
+        r = list(_mp_trim(r))
         reductions += 1
     scale = d ** (da - db + 1 - reductions)
     return tuple(v * scale for v in r)

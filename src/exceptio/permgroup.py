@@ -260,39 +260,55 @@ def frobenius_group(p: int, q: int) -> PermutationGroup:
     return G
 
 
+# One generator set per conjugacy class of transitive subgroups of S_n, in
+# cycle notation (Butler and McKay, "The transitive groups of degree up to
+# eleven", Comm. Algebra 11 (1983)).
+_TRANSITIVE_REPRESENTATIVES = {
+    3: (
+        ("(0 1 2)",),  # C3
+        ("(0 1 2)", "(0 1)"),  # S3
+    ),
+    4: (
+        ("(0 1 2 3)",),  # C4
+        ("(0 1)(2 3)", "(0 2)(1 3)"),  # V4
+        ("(0 1 2 3)", "(0 2)"),  # D4
+        ("(0 1 2)", "(1 2 3)"),  # A4
+        ("(0 1 2 3)", "(0 1)"),  # S4
+    ),
+    5: (
+        ("(0 1 2 3 4)",),  # C5
+        ("(0 1 2 3 4)", "(1 4)(2 3)"),  # D5
+        ("(0 1 2 3 4)", "(1 2 4 3)"),  # F20: x -> 2x on Z/5
+        ("(0 1 2 3 4)", "(0 1 2)"),  # A5
+        ("(0 1 2 3 4)", "(0 1)"),  # S5
+    ),
+}
+
+
 def all_transitive_subgroups(n: int) -> list[PermutationGroup]:
     """Every transitive subgroup of S_n (as an explicit subgroup, not up to
-    conjugacy) for 3 <= n <= 5, from closures of generator sets of size <= 3."""
+    conjugacy) for 3 <= n <= 5, sorted by order, then elements.
+
+    Each listed class representative is closed once and conjugated by every
+    element of S_n; equal element sets are kept once.  A conjugate's
+    generators are the conjugated generators of its representative."""
     if n < 3:
         raise DegreeTooSmall("need degree at least 3")
     if n > 5:
         raise DegreeTooLarge("exhaustive subgroup enumeration capped at degree 5")
     cap = factorial(n)
-    elements = sorted(itertools.permutations(range(n)))
-    closures: dict[frozenset, tuple[Perm, ...]] = {}
-    frontier: list[tuple[frozenset, tuple[Perm, ...]]] = []
-    for g in elements:
-        elems = frozenset(_closure([g], cap))
-        if elems not in closures:
-            closures[elems] = (g,)
-            frontier.append((elems, (g,)))
-    for _ in range(2):
-        fresh: list[tuple[frozenset, tuple[Perm, ...]]] = []
-        for elems, gens in frontier:
-            for h in elements:
-                if h in elems:
-                    continue
-                extended = frozenset(_closure(list(gens) + [h], cap))
-                if extended not in closures:
-                    new_gens = gens + (h,)
-                    closures[extended] = new_gens
-                    fresh.append((extended, new_gens))
-        frontier = fresh
+    seen: set[frozenset] = set()
     groups = []
-    for elems, gens in closures.items():
-        G = PermutationGroup(n, gens, tuple(sorted(elems)), cap)
-        if is_transitive(G):
-            groups.append(G)
+    for spec in _TRANSITIVE_REPRESENTATIVES[n]:
+        gens = [parse_cycles(text, n) for text in spec]
+        elements = _closure(gens, cap)
+        for s in itertools.permutations(range(n)):
+            s_inv = inverse(s)
+            conjugate = frozenset(tuple(s[g[i]] for i in s_inv) for g in elements)
+            if conjugate not in seen:
+                seen.add(conjugate)
+                conj_gens = tuple(tuple(s[g[i]] for i in s_inv) for g in gens)
+                groups.append(PermutationGroup(n, conj_gens, tuple(sorted(conjugate)), cap))
     groups.sort(key=lambda G: (G.order, G.elements))
     return groups
 

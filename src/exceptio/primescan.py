@@ -423,14 +423,31 @@ def has_root_mod_m(f: IntPolynomial, m: int):
 def intersective_screen(F: FactoredPolynomial, modulus_bound: int):
     """Smallest modulus m <= bound with no root of the expanded product, or None.
 
+    By the Chinese remainder theorem a root mod m exists iff one exists mod
+    every prime power exactly dividing m, so the smallest rootless modulus
+    is a prime power and only prime powers are tried, in ascending order.
+    A prime q takes the factors' root tests (the product has a root mod q
+    iff some factor has one); q^k with k >= 2 takes the residue sweep of
+    `has_root_mod_m` on the product.
+
     A screening tool only: absence of a failing modulus up to the bound
     proves nothing.
     """
     if not 2 <= modulus_bound <= SCREEN_CAP:
         raise BadParameters(f"modulus bound must be in [2, {SCREEN_CAP}]")
-    product = F.product
-    for m in range(2, modulus_bound + 1):
-        if has_root_mod_m(product, m) is None:
+    powers = []
+    for q in sieve_primes(modulus_bound).primes:
+        power = q
+        while power <= modulus_bound:
+            powers.append((power, q))
+            power *= q
+    powers.sort()
+    prepared = _prepare_factors(F)
+    for m, q in powers:
+        if m == q:
+            if not any(has_root(q) for has_root in prepared):
+                return m
+        elif has_root_mod_m(F.product, m) is None:
             return m
     return None
 

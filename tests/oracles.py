@@ -183,3 +183,76 @@ def brute_pattern(f: list[int], p: int) -> list[int]:
         if not progressed:
             deg += 1
     return sorted(pattern)
+
+
+def integer_root_by_divisors(f: list[int]):
+    """The integer root of f (ascending coeffs, not all zero, degree >= 1)
+    with the smallest |r|, the positive one first, or None: 0, then the
+    signed divisors of the constant term in ascending order."""
+    c0 = abs(f[0])
+    if c0 == 0:
+        return 0
+    small, large = [], []
+    d = 1
+    while d * d <= c0:
+        if c0 % d == 0:
+            small.append(d)
+            large.append(c0 // d)
+        d += 1
+    for d in small + large[::-1]:
+        for r in (d, -d):
+            if eval_poly(f, r) == 0:
+                return r
+    return None
+
+
+def smallest_rootless_modulus(f: list[int], bound: int):
+    """Smallest m in [2, bound] such that f has no root mod m, or None,
+    by trying every residue of every modulus."""
+    for m in range(2, bound + 1):
+        if not any(eval_poly(f, x) % m == 0 for x in range(m)):
+            return m
+    return None
+
+
+def transitive_subgroups_by_closure(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Element tuples of every transitive subgroup of S_n, sorted by order,
+    then elements: closures of every generator set of size <= 3, built up
+    one generator at a time, kept when the orbit of 0 is every point."""
+    from itertools import permutations
+
+    def closure(gens):
+        elems = {tuple(range(n))}
+        frontier = list(elems)
+        while frontier:
+            fresh = []
+            for g in frontier:
+                for s in gens:
+                    h = tuple(g[x] for x in s)
+                    if h not in elems:
+                        elems.add(h)
+                        fresh.append(h)
+            frontier = fresh
+        return frozenset(elems)
+
+    perms = sorted(permutations(range(n)))
+    closures = {}
+    frontier = []
+    for g in perms:
+        elems = closure([g])
+        if elems not in closures:
+            closures[elems] = (g,)
+            frontier.append((elems, (g,)))
+    for _ in range(2):
+        fresh = []
+        for elems, gens in frontier:
+            for h in perms:
+                if h in elems:
+                    continue
+                extended = closure(gens + (h,))
+                if extended not in closures:
+                    closures[extended] = gens + (h,)
+                    fresh.append((extended, gens + (h,)))
+        frontier = fresh
+    transitive = [elems for elems in closures if {g[0] for g in elems} == set(range(n))]
+    return sorted((tuple(sorted(elems)) for elems in transitive), key=lambda e: (len(e), e))

@@ -207,3 +207,18 @@ def test_cli_import_leaves_hashlib_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_verdict_on_huge_constant_term_finishes(tmp_path):
+    # the integer-root test takes the roots mod one prime above twice the
+    # root bound instead of walking the divisors of 10^20 + 39
+    src = str(Path(exceptio.__file__).resolve().parents[1])
+    argv = ["verdict", "--poly", "x^2-100000000000000000039", "--limit", "1000", "--cache-dir", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "exceptio.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    envelope = json.loads(done.stdout)
+    assert envelope["result"]["verdict"]["tag"] != "HasIntegerRoot"
+    assert "HasIntegerRoot" not in done.stdout

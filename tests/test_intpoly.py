@@ -6,6 +6,7 @@ import pytest
 
 from exceptio import errors
 from exceptio.intpoly import (
+    DIVISOR_WALK_LIMIT,
     discriminant,
     factored_text,
     factorisation_pattern,
@@ -24,7 +25,13 @@ from exceptio.intpoly import (
     roots_mod_p,
 )
 
-from oracles import brute_pattern, roots_by_sweep, sylvester_resultant
+from oracles import (
+    brute_pattern,
+    integer_root_by_divisors,
+    poly_mul,
+    roots_by_sweep,
+    sylvester_resultant,
+)
 
 X2M2 = make_poly([-2, 0, 1])
 X2M3 = make_poly([-3, 0, 1])
@@ -73,6 +80,58 @@ def test_has_integer_root():
     assert has_integer_root(make_poly([2, -3, 1])) == 1  # (x-1)(x-2)
     with pytest.raises(errors.ZeroPolynomial):
         has_integer_root(make_poly([0]))
+
+
+def test_has_integer_root_matches_divisor_walk():
+    # random linear factors (some repeated) times a random cofactor, with a
+    # leading coefficient that is not always 1 and constant terms on both
+    # sides of the crossover
+    rng = random.Random(977)
+    below = above = 0
+    while below < 60 or above < 60:
+        f = [rng.choice([1, 1, 1, 2, -3, 5])]
+        for _ in range(rng.randint(0, 3)):
+            r = rng.choice([rng.randint(-50, 50), rng.randint(-6000, 6000)])
+            f = poly_mul(f, [-r, 1])
+            if rng.random() < 0.2:
+                f = poly_mul(f, [-r, 1])
+        f = poly_mul(f, [rng.randint(-3000, 3000) for _ in range(rng.randint(1, 3))] + [1])
+        c0 = abs(f[0])
+        if not 0 < c0 < 1 << 30:
+            continue
+        if c0 < DIVISOR_WALK_LIMIT:
+            below += 1
+        else:
+            above += 1
+        assert has_integer_root(make_poly(f)) == integer_root_by_divisors(f), f
+
+
+def test_has_integer_root_large_constant_terms():
+    # expected roots by construction: walking the divisors of ~10^14 is the
+    # slow path this replaces
+    r = 10**7 + 19
+    c = r * r
+    cases = [
+        ([-c, 0, 1], r),  # +-sqrt(c): the positive root first
+        ([-(c + 2), 0, 1], None),
+        (poly_mul(poly_mul([-r, 1], [-r, 1]), [1, 0, 1]), r),  # repeated root
+        (poly_mul(poly_mul([r, 1], [r, 1]), [3, 0, 1]), -r),
+        (poly_mul(poly_mul([-r, 1], [r, 1]), [-1, 1]), 1),  # smallest |r| wins
+        (poly_mul([0, 1], [-(c + 1), 0, 1]), 0),  # 0 as a root
+        (poly_mul([1, 3], [-(10**9 + 7), 1]), 10**9 + 7),  # non-monic: -1/3 is not an integer
+        (poly_mul([-1, 2], [c + 5, 0, 1]), None),  # non-monic, root 1/2 only
+        (poly_mul([7, 10**9], [1 << 25, 1]), -(1 << 25)),  # |r| = B - 1 for the Cauchy bound B
+        ([-6 * c, 0, 6], r),  # content 6
+        ([5 << 24, 5 << 24], -1),  # the prime, 5, divides every coefficient
+        ([-(10**22), 0, 1], 10**11),  # root bound just under the primality cap
+    ]
+    for f, expected in cases:
+        assert f[0] == 0 or abs(f[0]) >= DIVISOR_WALK_LIMIT
+        assert has_integer_root(make_poly(f)) == expected, f
+    with pytest.raises(errors.RootBoundTooLarge):
+        has_integer_root(make_poly([-(10**24), 0, 1]))
+    with pytest.raises(errors.RootBoundTooLarge):
+        has_integer_root(make_poly([10**12, 0, 0, -(10**30), 1]))
 
 
 def test_reduce_mod():

@@ -31,6 +31,8 @@ from exceptio.permgroup import (
     unique_fp_coset_condition,
 )
 
+from oracles import transitive_subgroups_by_closure
+
 C3 = generate_group([(1, 2, 0)])
 S3 = generate_group([(1, 2, 0), (1, 0, 2)])
 KLEIN4 = generate_group([(1, 0, 3, 2), (2, 3, 0, 1)])
@@ -263,6 +265,17 @@ def test_all_transitive_subgroups_degree_3_and_4():
         all_transitive_subgroups(6)
     with pytest.raises(errors.DegreeTooSmall):
         all_transitive_subgroups(2)
+
+
+def test_transitive_subgroups_match_closure_search():
+    # conjugates of the listed class representatives against the closure of
+    # every generator set of size <= 3
+    for n in (3, 4, 5):
+        groups = all_transitive_subgroups(n)
+        assert [G.elements for G in groups] == transitive_subgroups_by_closure(n)
+        for G in groups:
+            assert generate_group(G.generators).elements == G.elements
+            assert is_transitive(G)
 
 
 def test_no_degree4_quadratic_completion():

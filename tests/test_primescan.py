@@ -21,7 +21,7 @@ from exceptio.primescan import (
     sieve_primes,
 )
 
-from oracles import eval_poly, primes_by_trial_division, roots_by_sweep
+from oracles import eval_poly, primes_by_trial_division, roots_by_sweep, smallest_rootless_modulus
 
 SEXTIC = parse_factors("x^2-2; x^2-3; x^2-6")
 QUINTIC = parse_factors("x^2+108; x^3+2")
@@ -247,6 +247,26 @@ def test_intersective_screen_golden_examples():
     for m in range(2, 64):
         assert any(eval_poly([216, 0, 2, 108, 0, 1], x) % m == 0 for x in range(m))
     assert all(eval_poly([216, 0, 2, 108, 0, 1], x) % 64 for x in range(64))
+
+
+def test_intersective_screen_matches_every_modulus_sweep():
+    # only prime powers are tried; the oracle tries every modulus
+    rng = random.Random(20240611)
+    cases = [(SEXTIC, 100), (QUINTIC, 100), (parse_factors("x^2-13; x^2-17; x^2-221"), 300)]
+    while len(cases) < 40:
+        factors = [
+            make_poly([rng.randint(-40, 40) for _ in range(rng.randint(1, 3))] + [1])
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append((product_of(factors), rng.randint(2, 2000)))
+    failing = set()
+    for F, bound in cases:
+        expected = smallest_rootless_modulus(list(F.product.coeffs), bound)
+        assert intersective_screen(F, bound) == expected, (F, bound)
+        failing.add(expected)
+    # the cases reach odd prime, prime-power and no failing moduli
+    assert {None, 8, 64} <= failing
+    assert failing & set(primes_by_trial_division(2000)[1:])
 
 
 def test_intersective_screen_trivial():
