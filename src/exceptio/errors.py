@@ -116,6 +116,11 @@ class DimensionTooLarge(ExceptioError):
     code = "DimensionTooLarge"
 
 
+# nt
+class FactorizationTooLarge(ExceptioError):
+    code = "FactorizationTooLarge"
+
+
 # quadcomplete
 class EvenOrCompositeP(ExceptioError):
     code = "EvenOrCompositeP"

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from .errors import (
     BadParameters,
     DimensionTooLarge,
-    EnumerationTooLarge,
     NotPrime,
     SupportMismatch,
 )
 from .kummer import PrimeSet, RadicandSet, make_radicand_set
+from .kummer import check_enumeration_bounds, first_uncovered_point
 from .nt import is_prime
 
-POINT_CAP = 10**7
-DIMENSION_CAP = 12
 FORM_DIMENSION_CAP = 20
 
 
@@ -81,26 +79,11 @@ def all_forms(n: int) -> tuple[LinearForm, ...]:
     return tuple(forms)
 
 
-def _check_point_bounds(p: int, n: int) -> None:
-    if n > DIMENSION_CAP or p**n > POINT_CAP:
-        raise EnumerationTooLarge(f"{p}^{n} points exceed the enumeration bound")
-
-
 def is_good(T: FormSet):
-    """(True, None) if some form vanishes at every point, else (False, point)."""
-    _check_point_bounds(T.p, T.n)
-    supports = [f.support for f in T.forms]
-    p = T.p
-    for x in itertools.product(range(p), repeat=T.n):
-        for sup in supports:
-            total = 0
-            for c in sup:
-                total += x[c]
-            if total % p == 0:
-                break
-        else:
-            return False, x
-    return True, None
+    """(True, None) if some form vanishes at each point, else (False, point)
+    with the first point, in lexicographic order, at which none does."""
+    x = first_uncovered_point(T.p, T.n, [f.support for f in T.forms])
+    return x is None, x
 
 
 def min_good_size(
@@ -119,7 +102,7 @@ def min_good_size(
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    _check_point_bounds(p, n)
+    check_enumeration_bounds(p, n)
     forms = all_forms(n)
     if not 1 <= size_budget <= len(forms):
         raise BadParameters(f"size budget must be in [1, {len(forms)}]")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    DegreeTooLarge,
     DegreeZero,
     EmptyCoefficients,
     NonMonic,
@@ -36,6 +37,13 @@ SWEEP_THRESHOLD = 256
 #: Constant terms below this size (in absolute value) find integer roots by
 #: walking their divisors; larger ones by the roots mod one prime.
 DIVISOR_WALK_LIMIT = 1 << 24
+
+#: Largest degree `parse_poly` accepts, which bounds its dense coefficient list.
+MAX_PARSE_DEGREE = 10_000
+
+#: Most digits `parse_poly` reads in one integer: Python's default limit on
+#: int(str), past which int() raises a plain ValueError.
+MAX_PARSE_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,12 @@ def has_integer_root(f: IntPolynomial):
 _TERM_RE = re.compile(r"(\d+)(x(\^(\d+))?)?|x(\^(\d+))?")
 
 
+def _parse_digits(digits: str) -> int:
+    if len(digits) > MAX_PARSE_DIGITS:
+        raise ParseError(f"an integer of {len(digits)} digits exceeds {MAX_PARSE_DIGITS}")
+    return int(digits)
+
+
 def parse_poly(text: str) -> IntPolynomial:
     compact = "".join(text.split())
     if not compact:
@@ -216,13 +230,15 @@ def parse_poly(text: str) -> IntPolynomial:
         if m is None or m.end() == pos:
             raise ParseError(f"cannot read a term at position {pos} in {text!r}")
         if m.group(1) is not None:
-            coeff = int(m.group(1))
+            coeff = _parse_digits(m.group(1))
             exp = 0
             if m.group(2) is not None:
-                exp = int(m.group(4)) if m.group(4) is not None else 1
+                exp = _parse_digits(m.group(4)) if m.group(4) is not None else 1
         else:
             coeff = 1
-            exp = int(m.group(6)) if m.group(6) is not None else 1
+            exp = _parse_digits(m.group(6)) if m.group(6) is not None else 1
+        if exp > MAX_PARSE_DEGREE:
+            raise DegreeTooLarge(f"degree {exp} exceeds the parser cap {MAX_PARSE_DEGREE}")
         terms[exp] = terms.get(exp, 0) + sign * coeff
         pos = m.end()
         first = False

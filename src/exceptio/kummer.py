@@ -3,8 +3,8 @@
 The splitting-field automorphisms of such a family are in bijection with
 exponent maps: a twist exponent for each base prime (how the automorphism
 scales that prime's radical by a root of unity) plus a nonzero exponent
-describing its action on the root of unity itself.  Enumerating these maps
-decides exceptionality exactly, radicand set by radicand set.
+describing its action on the root of unity itself.  One depth-first walk over
+the twists, `first_uncovered_point`, decides exceptionality exactly.
 """
 
 from __future__ import annotations
@@ -133,43 +133,60 @@ def fixes_some_root(em: ExponentMap, B: RadicandSet) -> bool:
     return False
 
 
-def _check_enumeration_bounds(B: RadicandSet) -> None:
-    n = len(B.support)
-    if n > SUPPORT_CAP or B.p**n > ENUMERATION_POINT_CAP:
-        raise EnumerationTooLarge(
-            f"{B.p}^{n} exponent maps exceed the enumeration bound"
-        )
+def check_enumeration_bounds(p: int, n: int) -> None:
+    if n > SUPPORT_CAP or p**n > ENUMERATION_POINT_CAP:
+        raise EnumerationTooLarge(f"{p}^{n} points exceed the enumeration bound")
+
+
+def first_uncovered_point(p: int, n: int, index_sets):
+    """The lexicographically first x in F_p^n at which no index set sums to
+    0 mod p, or None.  An odometer fixes x left to right and tests each set
+    once its largest coordinate is fixed; a prefix on which one sums to 0 is
+    covered at every completion, so its subtree is skipped."""
+    check_enumeration_bounds(p, n)
+    filed = [[] for _ in range(n)]
+    for idxs in index_sets:
+        filed[max(idxs)].append(idxs)
+    x = [0] * n
+    d = 0  # x[:d] is fixed and uncovered; x[d] is on trial
+    while True:
+        for idxs in filed[d]:
+            total = 0
+            for i in idxs:
+                total += x[i]
+            if total % p == 0:
+                break
+        else:
+            if d == n - 1:
+                return tuple(x)
+            d += 1
+            x[d] = 0
+            continue
+        while x[d] == p - 1:
+            d -= 1
+            if d < 0:
+                return None
+        x[d] += 1
 
 
 def is_exceptional_exact(B: RadicandSet):
     """(True, None) if every automorphism fixes a root, else (False, witness).
 
-    Reduced enumeration: maps that move the root of unity always fix a root
-    (the fixing congruence is solvable), so only unity-fixing maps are
-    enumerated; such a map fixes a root exactly when some radicand has a
-    zero twist sum.  The witness is the lexicographically smallest.
+    Maps that move the root of unity always fix a root, so only unity-fixing
+    maps are searched: each fixes a root iff some radicand's twist sum is 0
+    mod p.  The witness is the lexicographically first one that fixes none.
     """
-    _check_enumeration_bounds(B)
-    p = B.p
-    support = B.support
-    pos = {q: i for i, q in enumerate(support)}
-    index_sets = [tuple(pos[q] for q in sup) for sup in B.supports]
-    for twists in itertools.product(range(p), repeat=len(support)):
-        for idxs in index_sets:
-            total = 0
-            for i in idxs:
-                total += twists[i]
-            if total % p == 0:
-                break
-        else:
-            return False, ExponentMap(p, support, twists, 1)
-    return True, None
+    pos = {q: i for i, q in enumerate(B.support)}
+    index_sets = [[pos[q] for q in sup] for sup in B.supports]
+    twists = first_uncovered_point(B.p, len(B.support), index_sets)
+    witness = None if twists is None else ExponentMap(B.p, B.support, twists, 1)
+    return witness is None, witness
 
 
 def is_exceptional_full(B: RadicandSet):
     """Full-enumeration cross-validator for is_exceptional_exact: iterates
     every (twists, unity power) pair and replays the fixing congruence."""
-    _check_enumeration_bounds(B)
+    check_enumeration_bounds(B.p, len(B.support))
     p = B.p
     if (p - 1) * p ** len(B.support) > ENUMERATION_POINT_CAP:
         raise EnumerationTooLarge("full enumeration exceeds the bound")

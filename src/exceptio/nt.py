@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import EvenOrCompositeP
+from .errors import EvenOrCompositeP, FactorizationTooLarge
 
 # Deterministic Miller-Rabin witnesses: the first twelve primes decide every
 # n below MR_DETERMINISTIC_LIMIT, about 3.2 * 10^23 (Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_DETERMINISTIC_LIMIT = 318_665_857_834_031_151_167_461
+
+#: `factorize` trial-divides by candidates up to this bound only.
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -45,7 +48,13 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n > 0 by trial division, as (prime, exponent) pairs."""
+    """Prime factorization of n > 0 by trial division, as (prime, exponent) pairs.
+
+    Divisors are tried up to TRIAL_DIVISION_LIMIT only, so a cofactor left
+    below the limit's square is prime.  A larger one is accepted when
+    `is_prime` proves it prime below MR_DETERMINISTIC_LIMIT; otherwise
+    FactorizationTooLarge is raised.
+    """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out = []
@@ -58,6 +67,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
     d = 5
     while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            if n >= MR_DETERMINISTIC_LIMIT or not is_prime(n):
+                raise FactorizationTooLarge(f"{n} has no factor below {d} and is not proved prime")
+            break
         for q in (d, d + 2):
             e = 0
             while n % q == 0:

@@ -256,3 +256,20 @@ def transitive_subgroups_by_closure(n: int) -> list[tuple[tuple[int, ...], ...]]
         frontier = fresh
     transitive = [elems for elems in closures if {g[0] for g in elems} == set(range(n))]
     return sorted((tuple(sorted(elems)) for elems in transitive), key=lambda e: (len(e), e))
+
+
+def first_uncovered_point_by_enumeration(p: int, n: int, index_sets):
+    """First x of F_p^n in lexicographic order at which no index set sums to
+    0 mod p, or None, by testing every set at every point in turn."""
+    from itertools import product
+
+    for x in product(range(p), repeat=n):
+        for idxs in index_sets:
+            total = 0
+            for i in idxs:
+                total += x[i]
+            if total % p == 0:
+                break
+        else:
+            return x
+    return None

@@ -209,16 +209,39 @@ def test_cli_import_leaves_hashlib_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def _run_module(*argv):
+    src = str(Path(exceptio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "exceptio.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_verdict_on_huge_constant_term_finishes(tmp_path):
     # the integer-root test takes the roots mod one prime above twice the
     # root bound instead of walking the divisors of 10^20 + 39
-    src = str(Path(exceptio.__file__).resolve().parents[1])
     argv = ["verdict", "--poly", "x^2-100000000000000000039", "--limit", "1000", "--cache-dir", str(tmp_path)]
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-m", "exceptio.cli", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _run_module(*argv)
     assert done.returncode == 0, done.stderr
     envelope = json.loads(done.stdout)
     assert envelope["result"]["verdict"]["tag"] != "HasIntegerRoot"
     assert "HasIntegerRoot" not in done.stdout
+
+
+def test_oversized_coefficient_gives_parse_error_envelope(tmp_path):
+    # int() would raise a plain ValueError past 4300 digits
+    done = _run_module("verdict", "--poly", "x^2-" + "9" * 5000, "--limit", "100", "--cache-dir", str(tmp_path))
+    assert done.returncode == 1, done.stderr
+    envelope = json.loads(done.stdout)
+    assert list(envelope) == ["version", "subcommand", "inputs", "error", "elapsed_ms"]
+    assert envelope["error"]["code"] == "ParseError"
+    assert "Traceback" not in done.stderr
+
+
+def test_kummer_on_large_prime_radicand_finishes():
+    # trial division stops at 10^6; the cofactor 10^20 + 39 is proved prime
+    done = _run_module("kummer", "--p", "2", "--radicands", "2,100000000000000000039")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["exceptional_exact"] is False
+    assert result["witness"]["twists"] == {"2": 1, "100000000000000000039": 1}

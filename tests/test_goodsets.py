@@ -164,7 +164,11 @@ def test_bridge_equivalence_small_supports():
             for chosen in itertools.combinations(pool, r):
                 B = make_radicand_set(p, chosen)
                 T = forms_from_radicands(B)
-                assert is_good(T)[0] == is_exceptional_exact(B)[0], (p, chosen)
+                good, point = is_good(T)
+                exact, witness = is_exceptional_exact(B)
+                assert good == exact, (p, chosen)
+                if not exact:
+                    assert witness.twists == point, (p, chosen)
 
 
 def test_search_payload_schema():

@@ -7,6 +7,8 @@ import pytest
 from exceptio import errors
 from exceptio.intpoly import (
     DIVISOR_WALK_LIMIT,
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_DIGITS,
     discriminant,
     factored_text,
     factorisation_pattern,
@@ -420,6 +422,21 @@ def test_parse_rejects_bad_input():
             parse_poly(bad)
     with pytest.raises(errors.ParseError):
         parse_factors(" ; ")
+
+
+def test_parse_caps_degree_and_digits():
+    # both caps raise typed errors before any large allocation or int()
+    assert parse_poly(f"x^{MAX_PARSE_DEGREE}+1").degree == MAX_PARSE_DEGREE
+    for text in (f"x^{MAX_PARSE_DEGREE + 1}", "x^1000000000", "0x^1000000000+x", "x^2+3x^99999"):
+        with pytest.raises(errors.DegreeTooLarge):
+            parse_poly(text)
+    nines = "9" * MAX_PARSE_DIGITS
+    assert parse_poly(f"x^2-{nines}").coeffs[0] == -int(nines)
+    for text in (f"x^2-{nines}9", f"{nines}9x+1", f"x^{nines}9"):
+        with pytest.raises(errors.ParseError):
+            parse_poly(text)
+    with pytest.raises(errors.ParseError):
+        parse_factors(f"x-1; x^2-{'9' * 5000}")
 
 
 def test_parse_factors_round_trip():

@@ -11,6 +11,7 @@ from exceptio.kummer import (
     ExponentMap,
     build_kummer_poly,
     consecutive_products,
+    first_uncovered_point,
     fixes_some_root,
     is_exceptional_exact,
     is_exceptional_full,
@@ -21,6 +22,8 @@ from exceptio.kummer import (
     zero_sum_consecutive,
 )
 from exceptio.primescan import scan
+
+from oracles import first_uncovered_point_by_enumeration
 
 
 def test_prime_set_validation():
@@ -42,6 +45,17 @@ def test_radicand_set_validation():
         make_radicand_set(4, [2])
     with pytest.raises(errors.EmptySet):
         make_radicand_set(2, [])
+
+
+def test_radicand_factorisation_is_bounded():
+    # trial division stops at 10^6: a cofactor past it must be provably prime
+    q = 100000000000000000039
+    assert make_radicand_set(3, [2, q]).support == (2, q)
+    assert make_radicand_set(2, [10**16 + 61]).support == (10**16 + 61,)
+    assert make_radicand_set(2, [999983 * 1000003]).support == (999983, 1000003)
+    for b in (1000003 * 1000033, 2**89 - 1, 6 * 1000003**2):
+        with pytest.raises(errors.FactorizationTooLarge):
+            make_radicand_set(2, [b])
 
 
 def test_consecutive_products_examples():
@@ -160,6 +174,23 @@ def test_full_enumeration_agrees_on_sampled_support_four():
             chosen = rng.sample(pool, rng.randint(1, 8))
             B = make_radicand_set(p, chosen)
             assert is_exceptional_exact(B)[0] == is_exceptional_full(B)[0], (p, chosen)
+
+
+def test_first_uncovered_point_matches_enumeration():
+    # the same point (or None) as the flat loop, so also the same order
+    rng = random.Random(1100)
+    covered = 0
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(1, 5)
+        used = rng.sample(range(n), rng.randint(1, n))  # the rest stay unused
+        index_sets = [rng.sample(used, rng.randint(1, len(used))) for _ in range(rng.randint(1, 8))]
+        if len(index_sets) > 1 and rng.random() < 0.3:
+            index_sets[-1] = index_sets[0][::-1]  # a duplicate set
+        got = first_uncovered_point(p, n, index_sets)
+        assert got == first_uncovered_point_by_enumeration(p, n, index_sets), (p, n, index_sets)
+        covered += got is None
+    assert 0 < covered < 1500
 
 
 def test_zero_sum_consecutive_examples():
