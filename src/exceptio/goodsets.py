@@ -53,11 +53,14 @@ def make_form_set(p: int, n: int, forms) -> FormSet:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise BadParameters("dimension must be positive")
-    forms = tuple(sorted(set(forms), key=lambda f: (len(f.support), f.support)))
-    for f in forms:
-        if f.support[-1] >= n:
-            raise SupportMismatch(f"form {f.support} exceeds dimension {n}")
-    return FormSet(p, n, forms)
+    by_support = {f.support: f for f in forms}
+    supports = sorted(by_support, key=lambda s: (len(s), s))
+    for s in supports:
+        if s[-1] >= n:
+            raise SupportMismatch(f"form {s} exceeds dimension {n}")
+    # from a list, not a generator: tuple() sizes a generator's result by
+    # resizing a guess, and those tuples pile up in CPython's free lists
+    return FormSet(p, n, tuple([by_support[s] for s in supports]))
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,19 @@ def min_good_size(
     """Smallest cardinality of a good subset of the 2^n - 1 forms, within the
     budget, by iterative deepening over sizes with branch-and-bound pruning.
 
-    Pruning uses the remaining-forms bound and the union of all not-yet
-    considered vanishing sets; the optional symmetry flag additionally skips
-    selections that are not lexicographically minimal under coordinate
-    permutations (validated against the unreduced search in the tests).
+    A branch stops when the forms not yet considered cannot cover the rest
+    of F_p^n; with two slots left it also stops when twice the most new
+    points any one remaining form covers falls short of the uncovered
+    count; the last slot is filled by a direct test of each remaining form.
+    The optional symmetry flag additionally skips selections that are not
+    lexicographically minimal under coordinate permutations.  The two-slot
+    bound and the last-slot test keep the minimum, the witness and
+    `exhaustive` of the search without them
+    (`tests/oracles.py::min_good_size_unpruned`).
+
+    `nodes_explored` counts the selections the search visits: every partial
+    selection it extends or prunes, and a full-size selection only when it
+    completes the cover.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -151,6 +163,22 @@ def min_good_size(
         if len(chosen) == target:
             return False
         needed = target - len(chosen)
+        if needed == 1:
+            for i in range(start, len(forms)):
+                if covered | suffix[i] != full:
+                    break
+                if covered | masks[i] == full and (
+                    not symmetry_reduction or is_canonical(chosen + [i])
+                ):
+                    nodes += 1
+                    witness_indices = (*chosen, i)
+                    return True
+            return False
+        if needed == 2:
+            uncovered = ~covered
+            best = max((masks[i] & uncovered).bit_count() for i in range(start, len(forms)))
+            if 2 * best < (full & uncovered).bit_count():
+                return False
         for i in range(start, len(forms) - needed + 1):
             if covered | suffix[i] != full:
                 break
@@ -220,17 +248,24 @@ def radicands_from_forms(T: FormSet, L: PrimeSet) -> RadicandSet:
 
 
 def forms_from_radicands(B: RadicandSet, L: PrimeSet | None = None) -> FormSet:
-    """The 0/1 exponent vectors of the radicands over the support primes."""
-    primes = B.support if L is None else L.primes
-    if not set(B.support) <= set(primes):
+    """The 0/1 exponent vectors of the radicands over the support primes,
+    or over L's primes when L is given."""
+    if L is None:
+        return make_form_set(B.p, len(B.support), [LinearForm(v) for v in B.vectors])
+    if not set(B.support) <= set(L.primes):
         raise SupportMismatch("prime list does not cover the radicand support")
-    position = {q: i for i, q in enumerate(primes)}
+    position = {q: i for i, q in enumerate(L.primes)}
     forms = [LinearForm(tuple(position[q] for q in sup)) for sup in B.supports]
-    return make_form_set(B.p, len(primes), forms)
+    return make_form_set(B.p, len(L.primes), forms)
 
 
 def search_payload(result: SearchResult) -> dict:
     witness = None
     if result.witness is not None:
         witness = [list(form.support) for form in result.witness.forms]
-    return {"min": result.minimum, "witness": witness, "exhaustive": result.exhaustive}
+    return {
+        "min": result.minimum,
+        "witness": witness,
+        "exhaustive": result.exhaustive,
+        "nodes_explored": result.nodes_explored,
+    }

@@ -154,6 +154,19 @@ def product_of(factors) -> FactoredPolynomial:
     return FactoredPolynomial(factors, prod)
 
 
+def _ceil_root(q: int, i: int) -> int:
+    """The least integer r >= 0 with r^i >= q, for q >= 0 and i >= 1."""
+    if q <= 1 or i == 1:
+        return q
+    r = 1 << -(-q.bit_length() // i)  # r^i > q
+    while True:  # Newton's step from above settles on the floor of the root
+        s = ((i - 1) * r + q // r ** (i - 1)) // i
+        if s >= r:
+            break
+        r = s
+    return r if r**i >= q else r + 1
+
+
 def has_integer_root(f: IntPolynomial):
     """Some integer root of f, or None: the one with the smallest |r|, the
     positive one first.
@@ -161,10 +174,12 @@ def has_integer_root(f: IntPolynomial):
     Every integer root divides the constant term c0 (when c0 != 0).  For
     |c0| < DIVISOR_WALK_LIMIT the signed divisors of c0 are tried in
     ascending order.  Above it, the roots of f mod the smallest prime
-    p > 2B, with B the Cauchy bound 1 + max|a_i| / |a_n|, are lifted to
-    their representatives in (-p/2, p/2) and checked by exact evaluation:
-    every integer root lies within B, so it is one of them.  A prime beyond
-    the deterministic range of `nt.is_prime` raises RootBoundTooLarge.
+    p > 2B are lifted to their representatives in (-p/2, p/2) and checked
+    by exact evaluation: every integer root lies within B, so it is one of
+    them.  B is Fujiwara's bound 2 max_i |a_(n-i) / a_n|^(1/i), with a_0
+    halved, in integers: B = 2 max_i r_i, r_i the least integer with
+    r_i^i |a_n| >= |a_(n-i)|.  A prime beyond the deterministic range of
+    `nt.is_prime` raises RootBoundTooLarge.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has every root")
@@ -182,8 +197,11 @@ def has_integer_root(f: IntPolynomial):
         return None
     # dividing out the content keeps the roots and makes f nonzero mod p
     f = _positive_primitive(f)
-    coeffs = f.coeffs
-    bound = 1 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
+    coeffs, n = f.coeffs, f.degree
+    lead = abs(coeffs[-1])
+    radii = [_ceil_root(-(-abs(coeffs[n - i]) // lead), i) for i in range(1, n)]
+    radii.append(_ceil_root(-(-abs(coeffs[0]) // (2 * lead)), n))
+    bound = 2 * max(radii)
     p = 2 * bound + 1
     while p < MR_DETERMINISTIC_LIMIT and not is_prime(p):
         p += 1

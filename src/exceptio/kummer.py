@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadParameters,
@@ -49,31 +50,45 @@ class RadicandSet:
     """Square-free radicands b > 1 under a fixed prime exponent p.
 
     `supports` lists, per radicand, its prime divisors; `support` is their
-    sorted union.
+    sorted union.  `vectors` lists, per radicand, the positions of its
+    primes in `support`: the 0/1 exponent vector of the radicand, given by
+    its nonzero coordinates.
     """
 
     p: int
     radicands: tuple[int, ...]
     supports: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=4096)
+def _radicand_support(b: int) -> tuple[int, ...]:
+    """The prime divisors of the square-free radicand b > 1, ascending.
+
+    Cached per process (errors are raised, never cached): the same
+    radicands recur across the sets a caller decides."""
+    if b <= 1:
+        raise BadParameters(f"radicand {b} must exceed 1")
+    factors = factorize(b)
+    if any(e > 1 for _, e in factors):
+        raise BadParameters(f"radicand {b} is not square free")
+    return tuple(q for q, _ in factors)
 
 
 def make_radicand_set(p: int, radicands) -> RadicandSet:
     if not is_prime(p):
         raise NotPrime(f"exponent {p} is not prime")
-    radicands = tuple(sorted(set(int(b) for b in radicands)))
+    radicands = tuple(sorted({int(b) for b in radicands}))
     if not radicands:
         raise EmptySet("need at least one radicand")
-    supports = []
-    for b in radicands:
-        if b <= 1:
-            raise BadParameters(f"radicand {b} must exceed 1")
-        factors = factorize(b)
-        if any(e > 1 for _, e in factors):
-            raise BadParameters(f"radicand {b} is not square free")
-        supports.append(tuple(q for q, _ in factors))
-    union = sorted({q for sup in supports for q in sup})
-    return RadicandSet(p, radicands, tuple(supports), tuple(union))
+    # tuples from lists, not generators or map, get their exact size: resized
+    # ones pile up in CPython's tuple free lists (~1 MB over 65 534 sets)
+    supports = tuple([_radicand_support(b) for b in radicands])
+    support = tuple(sorted(set().union(*supports)))
+    position = {q: i for i, q in enumerate(support)}
+    vectors = tuple([tuple([position[q] for q in sup]) for sup in supports])
+    return RadicandSet(p, radicands, supports, support, vectors)
 
 
 @dataclass(frozen=True)
@@ -176,9 +191,7 @@ def is_exceptional_exact(B: RadicandSet):
     maps are searched: each fixes a root iff some radicand's twist sum is 0
     mod p.  The witness is the lexicographically first one that fixes none.
     """
-    pos = {q: i for i, q in enumerate(B.support)}
-    index_sets = [[pos[q] for q in sup] for sup in B.supports]
-    twists = first_uncovered_point(B.p, len(B.support), index_sets)
+    twists = first_uncovered_point(B.p, len(B.support), B.vectors)
     witness = None if twists is None else ExponentMap(B.p, B.support, twists, 1)
     return witness is None, witness
 

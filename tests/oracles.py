@@ -273,3 +273,78 @@ def first_uncovered_point_by_enumeration(p: int, n: int, index_sets):
         else:
             return x
     return None
+
+
+def min_good_size_unpruned(p: int, n: int, size_budget: int, symmetry_reduction: bool = False):
+    """The good-set search of `goodsets.min_good_size` without its two-slot
+    bound and its inline last slot, as (minimum, witness supports, nodes,
+    exhaustive).  Every visited selection counts as a node, full-size ones
+    included.  The caller validates p, n and the budget.
+
+    Pruning uses the remaining-forms bound and the union of all not-yet
+    considered vanishing sets; the optional symmetry flag additionally skips
+    selections that are not lexicographically minimal under coordinate
+    permutations.
+    """
+    import itertools
+
+    forms = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    points = list(itertools.product(range(p), repeat=n))
+    masks = []
+    for support in forms:
+        mask = 0
+        for idx, x in enumerate(points):
+            total = 0
+            for c in support:
+                total += x[c]
+            if total % p == 0:
+                mask |= 1 << idx
+        masks.append(mask)
+    full = (1 << len(points)) - 1
+    suffix = [0] * (len(forms) + 1)
+    for i in range(len(forms) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+
+    coordinate_maps = None
+    if symmetry_reduction:
+        index_of = {support: i for i, support in enumerate(forms)}
+        coordinate_maps = []
+        for sigma in itertools.permutations(range(n)):
+            coordinate_maps.append(
+                tuple(index_of[tuple(sorted(sigma[c] for c in support))] for support in forms)
+            )
+        coordinate_maps = coordinate_maps[1:]  # drop the identity
+
+    def is_canonical(chosen: list[int]) -> bool:
+        for remap in coordinate_maps:
+            if tuple(sorted(remap[i] for i in chosen)) < tuple(chosen):
+                return False
+        return True
+
+    nodes = 0
+    witness_indices = None
+
+    def dfs(start: int, chosen: list[int], covered: int, target: int) -> bool:
+        nonlocal nodes, witness_indices
+        nodes += 1
+        if covered == full:
+            witness_indices = tuple(chosen)
+            return True
+        if len(chosen) == target:
+            return False
+        needed = target - len(chosen)
+        for i in range(start, len(forms) - needed + 1):
+            if covered | suffix[i] != full:
+                break
+            chosen.append(i)
+            if not symmetry_reduction or is_canonical(chosen):
+                if dfs(i + 1, chosen, covered | masks[i], target):
+                    chosen.pop()
+                    return True
+            chosen.pop()
+        return False
+
+    for target in range(1, size_budget + 1):
+        if dfs(0, [], 0, target):
+            return len(witness_indices), [forms[i] for i in witness_indices], nodes, True
+    return None, None, nodes, True

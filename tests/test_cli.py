@@ -99,6 +99,8 @@ def test_goodsets_subcommand(capsys):
     assert envelope["result"]["min"] == 6
     assert envelope["result"]["exhaustive"] is True
     assert len(envelope["result"]["witness"]) == 6
+    nodes = envelope["result"]["nodes_explored"]
+    assert isinstance(nodes, int) and nodes > 0
 
 
 def test_group_subcommand(capsys, tmp_path):

@@ -20,6 +20,8 @@ from exceptio.goodsets import (
 )
 from exceptio.kummer import is_exceptional_exact, make_prime_set, make_radicand_set
 
+from oracles import min_good_size_unpruned
+
 
 def test_all_forms():
     assert [f.support for f in all_forms(2)] == [(0,), (1,), (0, 1)]
@@ -104,6 +106,29 @@ def test_symmetry_reduction_matches_unreduced():
         assert reduced.nodes_explored <= plain.nodes_explored
 
 
+def test_min_good_size_matches_unpruned_search():
+    # the two-slot bound and the inline last slot change only the node count
+    absent = 0
+    for p in (2, 3):
+        for n in range(1, 6):
+            size = 2**n - 1
+            known = min_good_size_unpruned(p, n, size)[0]
+            budgets = {1, size} if known is None else {max(1, known - 1), known}
+            for budget in sorted(budgets):
+                for symmetry in (False, True):
+                    minimum, witness, nodes, exhaustive = min_good_size_unpruned(p, n, budget, symmetry)
+                    got = min_good_size(p, n, budget, symmetry)
+                    key = (p, n, budget, symmetry)
+                    assert got.minimum == minimum, key
+                    assert (got.witness is None) == (witness is None), key
+                    if witness is not None:
+                        assert [f.support for f in got.witness.forms] == witness, key
+                    assert got.exhaustive == exhaustive, key
+                    assert 0 < got.nodes_explored <= nodes, key
+                    absent += minimum is None
+    assert absent > 0
+
+
 def test_min_over_n_closing_values():
     assert min_over_n(2, 4).minimum == 3
     assert min_over_n(3, 4).minimum == 6
@@ -171,10 +196,21 @@ def test_bridge_equivalence_small_supports():
                     assert witness.twists == point, (p, chosen)
 
 
+def test_forms_from_radicands_agrees_with_an_explicit_prime_list():
+    # the stored exponent vectors give the forms that the support primes do
+    pool = [2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70, 105, 210]
+    rng = random.Random(1200)
+    for p in (2, 3, 5):
+        for _ in range(200):
+            B = make_radicand_set(p, rng.sample(pool, rng.randint(1, len(pool))))
+            assert forms_from_radicands(B) == forms_from_radicands(B, make_prime_set(B.support))
+
+
 def test_search_payload_schema():
     payload = search_payload(min_good_size(3, 3, 7))
-    assert list(payload) == ["min", "witness", "exhaustive"]
+    assert list(payload) == ["min", "witness", "exhaustive", "nodes_explored"]
     assert payload["min"] == 6
+    assert isinstance(payload["nodes_explored"], int) and payload["nodes_explored"] > 0
     assert payload["exhaustive"] is True
     assert len(payload["witness"]) == 6
     assert payload["witness"] == sorted(payload["witness"], key=lambda s: (len(s), s))

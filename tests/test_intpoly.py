@@ -85,27 +85,38 @@ def test_has_integer_root():
 
 
 def test_has_integer_root_matches_divisor_walk():
+    # constant terms on both sides of the crossover, from two generators:
     # random linear factors (some repeated) times a random cofactor, with a
-    # leading coefficient that is not always 1 and constant terms on both
-    # sides of the crossover
-    rng = random.Random(977)
-    below = above = 0
-    while below < 60 or above < 60:
+    # leading coefficient that is not always 1; and products of linear
+    # factors a x - r alone, where the roots themselves set the root bound
+    def with_cofactor(rng):
         f = [rng.choice([1, 1, 1, 2, -3, 5])]
         for _ in range(rng.randint(0, 3)):
             r = rng.choice([rng.randint(-50, 50), rng.randint(-6000, 6000)])
             f = poly_mul(f, [-r, 1])
             if rng.random() < 0.2:
                 f = poly_mul(f, [-r, 1])
-        f = poly_mul(f, [rng.randint(-3000, 3000) for _ in range(rng.randint(1, 3))] + [1])
-        c0 = abs(f[0])
-        if not 0 < c0 < 1 << 30:
-            continue
-        if c0 < DIVISOR_WALK_LIMIT:
-            below += 1
-        else:
-            above += 1
-        assert has_integer_root(make_poly(f)) == integer_root_by_divisors(f), f
+        return poly_mul(f, [rng.randint(-3000, 3000) for _ in range(rng.randint(1, 3))] + [1])
+
+    def linear_only(rng):
+        f = [rng.choice([1, 1, 1, -1, 2, -3])]
+        for _ in range(rng.randint(1, 4)):
+            f = poly_mul(f, [-rng.randint(-5000, 5000), rng.choice([1, 1, 1, 2, 3])])
+        return f
+
+    for seed, make in ((977, with_cofactor), (1202, linear_only)):
+        rng = random.Random(seed)
+        below = above = 0
+        while below < 60 or above < 60:
+            f = make(rng)
+            c0 = abs(f[0])
+            if not 0 < c0 < 1 << 30:
+                continue
+            if c0 < DIVISOR_WALK_LIMIT:
+                below += 1
+            else:
+                above += 1
+            assert has_integer_root(make_poly(f)) == integer_root_by_divisors(f), f
 
 
 def test_has_integer_root_large_constant_terms():
@@ -122,16 +133,19 @@ def test_has_integer_root_large_constant_terms():
         (poly_mul([0, 1], [-(c + 1), 0, 1]), 0),  # 0 as a root
         (poly_mul([1, 3], [-(10**9 + 7), 1]), 10**9 + 7),  # non-monic: -1/3 is not an integer
         (poly_mul([-1, 2], [c + 5, 0, 1]), None),  # non-monic, root 1/2 only
-        (poly_mul([7, 10**9], [1 << 25, 1]), -(1 << 25)),  # |r| = B - 1 for the Cauchy bound B
+        (poly_mul([7, 10**9], [1 << 25, 1]), -(1 << 25)),  # |r| = B/2 - 1 for the bound B
         ([-6 * c, 0, 6], r),  # content 6
         ([5 << 24, 5 << 24], -1),  # the prime, 5, divides every coefficient
-        ([-(10**22), 0, 1], 10**11),  # root bound just under the primality cap
+        ([-(10**22), 0, 1], 10**11),
+        ([-(10**24), 0, 1], 10**12),  # a Cauchy bound would pass the primality cap here
+        (poly_mul(poly_mul([-r, 1], [-r, 1]), [-c, 0, 1]), r),  # coefficients near r^4
+        ([-(10**46), 0, 1], 10**23),  # root bound just under the primality cap
     ]
     for f, expected in cases:
         assert f[0] == 0 or abs(f[0]) >= DIVISOR_WALK_LIMIT
         assert has_integer_root(make_poly(f)) == expected, f
     with pytest.raises(errors.RootBoundTooLarge):
-        has_integer_root(make_poly([-(10**24), 0, 1]))
+        has_integer_root(make_poly([-(10**48), 0, 1]))
     with pytest.raises(errors.RootBoundTooLarge):
         has_integer_root(make_poly([10**12, 0, 0, -(10**30), 1]))
 

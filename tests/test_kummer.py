@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from exceptio import errors
+from exceptio import errors, kummer
 from exceptio.intpoly import factored_text
 from exceptio.kummer import (
     ExponentMap,
@@ -45,6 +45,38 @@ def test_radicand_set_validation():
         make_radicand_set(4, [2])
     with pytest.raises(errors.EmptySet):
         make_radicand_set(2, [])
+
+
+def test_radicand_errors_repeat_with_a_warm_cache():
+    # supports are cached per radicand, errors never are
+    warm = make_radicand_set(2, [2, 3, 6, 100000000000000000039])
+    for _ in range(3):
+        assert make_radicand_set(2, [6, 3, 2, 100000000000000000039]) == warm
+        with pytest.raises(errors.BadParameters, match="radicand 4 is not square free"):
+            make_radicand_set(2, [4])
+        with pytest.raises(errors.BadParameters, match="radicand 1 must exceed 1"):
+            make_radicand_set(2, [1])
+        with pytest.raises(errors.BadParameters, match="radicand 1 must exceed 1"):
+            make_radicand_set(2, [1, 4])
+        with pytest.raises(errors.BadParameters, match="radicand 4 is not square free"):
+            make_radicand_set(2, [4, 2, 3, 12])
+        with pytest.raises(errors.FactorizationTooLarge):
+            make_radicand_set(2, [2, 1000003 * 1000033])
+    assert kummer._radicand_support.cache_info().maxsize is not None
+
+
+def test_radicand_vectors_index_the_support():
+    B = make_radicand_set(3, [35, 2, 6, 210, 7])
+    assert B.support == (2, 3, 5, 7)
+    assert B.vectors == ((0,), (0, 1), (3,), (2, 3), (0, 1, 2, 3))
+    rng = random.Random(1201)
+    pool = [2, 3, 5, 6, 7, 10, 11, 14, 15, 21, 22, 30, 33, 35, 42, 70, 105, 210, 2310]
+    for _ in range(300):
+        B = make_radicand_set(rng.choice([2, 3, 5]), rng.sample(pool, rng.randint(1, 8)))
+        assert len(B.vectors) == len(B.radicands)
+        for vector, sup in zip(B.vectors, B.supports):
+            assert tuple(B.support[i] for i in vector) == sup
+            assert list(vector) == sorted(set(vector))
 
 
 def test_radicand_factorisation_is_bounded():
