@@ -557,40 +557,9 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     return sign * scale * final
 
 
-def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor in Z[x], primitive with positive leading coefficient."""
-    if f.is_zero:
-        return g if g.is_zero else _positive_primitive(g)
-    if g.is_zero:
-        return _positive_primitive(f)
-    a, b = f.coeffs, g.coeffs
-    if _ip_deg(a) < _ip_deg(b):
-        a, b = b, a
-    content = gcd(_ip_content(a), _ip_content(b))
-    a = _ip_exact_div(a, _ip_content(a))
-    b = _ip_exact_div(b, _ip_content(b))
-    g_coef, h_coef = 1, 1
-    while _ip_deg(b) > 0:
-        delta = _ip_deg(a) - _ip_deg(b)
-        r = _ip_prem(a, b)
-        if not r:
-            prim = _ip_exact_div(b, _ip_content(b))
-            return make_poly([content * v for v in _positive(prim)])
-        a, b = b, _ip_exact_div(r, g_coef * h_coef**delta)
-        g_coef = a[-1]
-        if delta > 0:
-            h_coef = g_coef**delta // h_coef ** (delta - 1)
-    # b is a nonzero constant: the polynomials are coprime over Q
-    return make_poly([content])
-
-
-def _positive(c):
-    return tuple(-v for v in c) if c[-1] < 0 else c
-
-
 def _positive_primitive(f: IntPolynomial) -> IntPolynomial:
-    c = _ip_exact_div(f.coeffs, _ip_content(f.coeffs))
-    return make_poly(_positive(c))
+    content = _ip_content(f.coeffs)
+    return make_poly(_ip_exact_div(f.coeffs, -content if f.leading < 0 else content))
 
 
 def discriminant(f: IntPolynomial) -> int:
@@ -602,20 +571,8 @@ def discriminant(f: IntPolynomial) -> int:
         raise DegreeZero("discriminant requires degree >= 1")
     if n == 1:
         return 1
-    df = f.derivative()
-    if df.is_zero:
-        return 0
-    res = resultant(f, df)
+    res = resultant(f, f.derivative())
     return -res if (n * (n - 1) // 2) % 2 else res
-
-
-def is_square_free_over_Q(f: IntPolynomial) -> bool:
-    """True iff gcd(f, f') over Q is constant."""
-    if f.is_zero:
-        return False
-    if f.degree <= 1:
-        return True
-    return poly_gcd(f, f.derivative()).degree == 0
 
 
 def ramified_prime_bound(F: FactoredPolynomial) -> int:
@@ -624,12 +581,12 @@ def ramified_prime_bound(F: FactoredPolynomial) -> int:
     Any prime at which the expanded product becomes inseparable divides the
     returned bound, so all primes ramified in the splitting field do too.
     """
-    for f in F.factors:
-        if not is_square_free_over_Q(f):
-            raise NotSquareFree(f"factor {poly_text(f)} has a repeated root")
     delta = 1
     for f in F.factors:
-        delta *= abs(discriminant(f))
+        disc = discriminant(f)
+        if disc == 0:
+            raise NotSquareFree(f"factor {poly_text(f)} has a repeated root")
+        delta *= abs(disc)
     for i in range(len(F.factors)):
         for j in range(i + 1, len(F.factors)):
             res = resultant(F.factors[i], F.factors[j])

@@ -211,12 +211,6 @@ def is_exceptional_full(B: RadicandSet):
     return True, None
 
 
-def non_fixing_witness(B: RadicandSet):
-    """An automorphism fixing no root, when one exists."""
-    _, witness = is_exceptional_exact(B)
-    return witness
-
-
 def predicted_exceptional(L: PrimeSet, p: int) -> bool:
     """Closed-form criterion for the consecutive-products family over L:
     exceptional exactly when L has at least p elements."""

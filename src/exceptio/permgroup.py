@@ -387,12 +387,6 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermutationGroup:
     return generate_group(gens, cap)
 
 
-def format_group_file(G: PermutationGroup) -> str:
-    lines = [f"degree {G.degree}"]
-    lines.extend(format_cycles(g) for g in G.generators)
-    return "\n".join(lines) + "\n"
-
-
 def group_payload(G: PermutationGroup) -> dict:
     covered, _ = has_fixed_point_coverage(G)
     transitive = is_transitive(G)

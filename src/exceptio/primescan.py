@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from math import gcd, isqrt
 from operator import mul
 from pathlib import Path
@@ -52,8 +53,6 @@ from .intpoly import (
 SIEVE_CAP = 10**9
 MODULUS_CAP = 10**8
 SCREEN_CAP = 10**6
-
-_SEGMENT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class Verdict:
 
 
 def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> PrimeTable:
-    """All primes up to limit by a segmented sieve."""
+    """All primes up to limit by an odd-only sieve of Eratosthenes."""
     if limit < 2:
         raise BadParameters("sieve limit must be at least 2")
     if limit > cap:
@@ -98,26 +97,13 @@ def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> PrimeTable:
 
 @lru_cache(maxsize=8)
 def _sieve_cached(limit: int) -> tuple[int, ...]:
-    root = isqrt(limit)
-    base_flags = bytearray([1]) * (root + 1)
-    base_flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(root) + 1):
-        if base_flags[p]:
-            base_flags[p * p :: p] = b"\x00" * len(range(p * p, root + 1, p))
-    base_primes = [p for p in range(2, root + 1) if base_flags[p]]
-    primes: list[int] = []
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        marks = bytearray(hi - lo + 1)
-        for p in base_primes:
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            marks[start - lo :: p] = b"\x01" * len(range(start, hi + 1, p))
-        primes.extend(lo + i for i, m in enumerate(marks) if not m)
-        lo = hi + 1
-    return tuple(primes)
+    # flags[i] stands for the odd number 2i + 3
+    flags = bytearray([1]) * ((limit - 1) // 2)
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[(p - 3) // 2]:
+            start = (p * p - 3) // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return tuple(chain((2,), compress(range(3, limit + 1, 2), flags)))
 
 
 # ---------------------------------------------------------------------------

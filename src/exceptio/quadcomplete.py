@@ -4,7 +4,8 @@ Two constructions: the resolvent quadratic x^2 - disc(h) that completes an
 irreducible cubic h with non-square discriminant to a product with a root
 modulo almost every prime, and the search for a discriminant d that
 completes an already-exceptional product towards having roots modulo every
-prime power (an empirical screen, not a proof).
+prime power (a candidate, not a proof: `primescan.scan` and
+`primescan.intersective_screen` check the completed product).
 """
 
 from __future__ import annotations
@@ -18,16 +19,8 @@ from .errors import (
     ReducibleCubic,
     SquareDiscriminant,
 )
-from .intpoly import (
-    FactoredPolynomial,
-    IntPolynomial,
-    discriminant,
-    has_integer_root,
-    make_poly,
-    product_of,
-)
+from .intpoly import IntPolynomial, discriminant, has_integer_root, make_poly
 from .nt import is_prime, is_square, is_squarefree_int, legendre_symbol
-from .primescan import has_root_mod_m, scan
 
 
 @dataclass(frozen=True)
@@ -37,20 +30,6 @@ class CompletionCandidate:
     d: int
     mod8: int
     qr_certificates: dict[int, int]
-
-
-@dataclass(frozen=True)
-class CompletionReport:
-    d: int
-    prime_limit: int
-    power_limit: int
-    former_failures: tuple[int, ...]
-    violating_primes: tuple[int, ...]
-    violating_powers: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violating_primes and not self.violating_powers
 
 
 def cubic_resolvent_completion(h: IntPolynomial) -> IntPolynomial:
@@ -92,50 +71,9 @@ def find_intersective_d(bad_primes, search_bound: int) -> CompletionCandidate:
     raise NoCandidateInRange(f"no completing d up to {search_bound}")
 
 
-def verify_completion(
-    F: FactoredPolynomial,
-    d: int,
-    prime_limit: int,
-    power_limit: int,
-) -> CompletionReport:
-    """Empirical screen of (x^2 - d) * F: roots mod every prime up to
-    prime_limit, and mod every power q^k <= power_limit of the primes in
-    the former failure set of F."""
-    combined = product_of(F.factors + (make_poly([-d, 0, 1]),))
-    report = scan(combined, prime_limit)
-    former = scan(F, prime_limit).failures
-    violating_powers = []
-    for q in former:
-        power = q
-        while power <= power_limit:
-            if has_root_mod_m(combined.product, power) is None:
-                violating_powers.append(power)
-            power *= q
-    return CompletionReport(
-        d=d,
-        prime_limit=prime_limit,
-        power_limit=power_limit,
-        former_failures=former,
-        violating_primes=report.failures,
-        violating_powers=tuple(violating_powers),
-    )
-
-
 def candidate_payload(candidate: CompletionCandidate) -> dict:
     return {
         "d": candidate.d,
         "mod8": candidate.mod8,
         "qr_certificates": {str(p): v for p, v in candidate.qr_certificates.items()},
-    }
-
-
-def completion_report_payload(report: CompletionReport) -> dict:
-    return {
-        "d": report.d,
-        "prime_limit": report.prime_limit,
-        "power_limit": report.power_limit,
-        "former_failures": list(report.former_failures),
-        "violating_primes": list(report.violating_primes),
-        "violating_powers": list(report.violating_powers),
-        "ok": report.ok,
     }

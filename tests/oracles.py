@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values and cross-check fast paths.
 
-Everything here is deliberately naive: Sylvester determinants by
-fraction-free Bareiss elimination, residue sweeps, trial division.  None of
-it shares code with the library.
+Everything here is deliberately naive or a different algorithm from the
+library's: Sylvester determinants by fraction-free Bareiss elimination,
+residue sweeps, trial division, a segmented sieve, the primitive remainder
+sequence.  None of it shares code with the library.
 """
 
 from __future__ import annotations
@@ -108,6 +109,70 @@ def primes_by_trial_division(limit: int) -> list[int]:
         else:
             out.append(n)
     return out
+
+
+def segmented_sieve(limit: int, segment: int = 1 << 17) -> tuple[int, ...]:
+    """All primes up to limit by a two-level segmented sieve: base primes up
+    to sqrt(limit), then each block of `segment` numbers marked by them."""
+    from math import isqrt
+
+    root = isqrt(limit)
+    base_flags = bytearray([1]) * (root + 1)
+    base_flags[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(root) + 1):
+        if base_flags[p]:
+            base_flags[p * p :: p] = b"\x00" * len(range(p * p, root + 1, p))
+    base_primes = [p for p in range(2, root + 1) if base_flags[p]]
+    primes: list[int] = []
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + segment - 1, limit)
+        marks = bytearray(hi - lo + 1)
+        for p in base_primes:
+            if p * p > hi:
+                break
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            marks[start - lo :: p] = b"\x01" * len(range(start, hi + 1, p))
+        primes.extend(lo + i for i, m in enumerate(marks) if not m)
+        lo = hi + 1
+    return tuple(primes)
+
+
+def poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd(f, g) in Z[x] (ascending coefficients, not both zero) by the
+    primitive remainder sequence: the gcd of the contents times the gcd of
+    the primitive parts, with positive leading coefficient."""
+    from math import gcd
+
+    def trim(c):
+        c = list(c)
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return c
+
+    def primitive(c):
+        k = gcd(*c) if c[-1] > 0 else -gcd(*c)
+        return [v // k for v in c]
+
+    def pseudo_remainder(a, b):
+        r = a
+        while len(r) >= len(b) and any(r):
+            lead, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * v for v in r]
+            for j, v in enumerate(b):
+                r[shift + j] -= lead * v
+            r = trim(r)
+        return r
+
+    a, b = trim(f), trim(g)
+    content = gcd(*a, *b)
+    if len(a) < len(b):
+        a, b = b, a
+    a = primitive(a)
+    while any(b):
+        b = primitive(b)
+        a, b = b, pseudo_remainder(a, b)
+    return [content * v for v in a]
 
 
 def brute_pattern(f: list[int], p: int) -> list[int]:

@@ -13,12 +13,10 @@ from exceptio.intpoly import (
     factored_text,
     factorisation_pattern,
     has_integer_root,
-    is_square_free_over_Q,
     make_poly,
     multiply,
     parse_factors,
     parse_poly,
-    poly_gcd,
     poly_text,
     product_of,
     ramified_prime_bound,
@@ -30,6 +28,7 @@ from exceptio.intpoly import (
 from oracles import (
     brute_pattern,
     integer_root_by_divisors,
+    poly_gcd,
     poly_mul,
     roots_by_sweep,
     sylvester_resultant,
@@ -340,22 +339,14 @@ def test_depressed_cubic_discriminant_formula():
             assert discriminant(f) == -4 * a**3 - 27 * b**2, (a, b)
 
 
-def test_is_square_free_over_Q():
-    assert is_square_free_over_Q(X2M2)
-    assert not is_square_free_over_Q(make_poly([1, -2, 1]))  # (x-1)^2
-    sextic = product_of([X2M2, X2M3, X2M6]).product
-    assert is_square_free_over_Q(sextic)
-    assert is_square_free_over_Q(make_poly([7]))
-
-
 def test_poly_gcd():
     f = multiply(X2M2, X2M3)
-    assert poly_gcd(f, multiply(X2M2, X2M6)) == X2M2
-    assert poly_gcd(X2M2, X2M3).degree == 0
+    assert poly_gcd(f.coeffs, multiply(X2M2, X2M6).coeffs) == list(X2M2.coeffs)
+    assert poly_gcd(X2M2.coeffs, X2M3.coeffs) == [1]
     # content is included
-    a = make_poly([2, 2])  # 2(x+1)
-    b = make_poly([4, 8, 4])  # 4(x+1)^2
-    assert poly_gcd(a, b) == make_poly([2, 2])
+    assert poly_gcd([2, 2], [4, 8, 4]) == [2, 2]  # 2(x+1) and 4(x+1)^2
+    # the leading coefficient is positive
+    assert poly_gcd([1, -2, 1], [-2, 2]) == [-1, 1]
 
 
 def test_poly_gcd_random_common_factors():
@@ -368,11 +359,72 @@ def test_poly_gcd_random_common_factors():
             return make_poly([rng.randrange(-5, 6) for _ in range(deg)] + [rng.randint(1, 3)])
 
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        g = poly_gcd(multiply(a, c), multiply(b, c))
+        g = poly_gcd(multiply(a, c).coeffs, multiply(b, c).coeffs)
         # the planted factor divides the gcd, the gcd divides both products
-        assert divides_over_q(list(c.coeffs), list(g.coeffs)), (a, b, c)
-        assert divides_over_q(list(g.coeffs), list(multiply(a, c).coeffs))
-        assert divides_over_q(list(g.coeffs), list(multiply(b, c).coeffs))
+        assert divides_over_q(list(c.coeffs), g), (a, b, c)
+        assert divides_over_q(g, list(multiply(a, c).coeffs))
+        assert divides_over_q(g, list(multiply(b, c).coeffs))
+
+
+def _delta_by_gcd_pass(F):
+    """Δ with square-freeness decided by its own pass: an oracle gcd(f, f')
+    per factor first, then discriminants, then Sylvester resultants; the
+    first error met is returned as its class."""
+    for f in F.factors:
+        if len(poly_gcd(f.coeffs, f.derivative().coeffs)) > 1:
+            return errors.NotSquareFree
+    delta = 1
+    for f in F.factors:
+        delta *= abs(discriminant(f))
+    for i, f in enumerate(F.factors):
+        for g in F.factors[i + 1 :]:
+            res = sylvester_resultant(list(f.coeffs), list(g.coeffs))
+            if res == 0:
+                return errors.ZeroResultant
+            delta *= abs(res)
+    return delta
+
+
+def test_square_freeness_from_discriminants_matches_gcd_pass():
+    sextic = product_of([X2M2, X2M3, X2M6])
+    assert ramified_prime_bound(sextic) == _delta_by_gcd_pass(sextic) == 331776
+    assert poly_gcd(sextic.product.coeffs, sextic.product.derivative().coeffs) == [1]
+    assert poly_gcd([7], [0]) == [7]  # a constant has no repeated root
+    with pytest.raises(errors.NotSquareFree, match=r"factor x\^2-2x\+1 has a repeated root"):
+        ramified_prime_bound(product_of([make_poly([1, -2, 1])]))  # (x-1)^2
+    rng = random.Random(1717)
+    outcomes = {errors.NotSquareFree: 0, errors.ZeroResultant: 0, int: 0}
+
+    def rand_monic(low, high):
+        deg = rng.randint(low, high)
+        return make_poly([rng.randrange(-6, 7) for _ in range(deg)] + [1])
+
+    for _ in range(300):
+        factors = [rand_monic(1, 3) for _ in range(rng.randint(1, 4))]
+        kind = rng.randrange(4)
+        if kind == 0:  # a squared factor
+            f = rand_monic(1, 2)
+            factors.insert(rng.randrange(len(factors) + 1), multiply(f, f))
+        elif kind == 1:  # (x - a)^2 g
+            a = rng.randrange(-5, 6)
+            lin = make_poly([-a, 1])
+            factors.insert(
+                rng.randrange(len(factors) + 1), multiply(multiply(lin, lin), rand_monic(0, 2))
+            )
+        elif kind == 2:  # two factors sharing a root
+            shared = rand_monic(1, 2)
+            factors.append(multiply(shared, rand_monic(0, 1)))
+            factors.insert(rng.randrange(len(factors)), multiply(shared, rand_monic(0, 1)))
+        F = product_of(factors)
+        expected = _delta_by_gcd_pass(F)
+        if expected in (errors.NotSquareFree, errors.ZeroResultant):
+            with pytest.raises(expected):
+                ramified_prime_bound(F)
+            outcomes[expected] += 1
+        else:
+            assert ramified_prime_bound(F) == expected, factored_text(F)
+            outcomes[int] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_ramified_prime_bound_frozen():

@@ -17,7 +17,6 @@ from exceptio.kummer import (
     is_exceptional_full,
     make_prime_set,
     make_radicand_set,
-    non_fixing_witness,
     predicted_exceptional,
     zero_sum_consecutive,
 )
@@ -139,10 +138,10 @@ def test_is_exceptional_exact_examples():
 
 
 def test_non_fixing_witness_examples():
-    witness = non_fixing_witness(consecutive_products(make_prime_set([2, 3]), 3))
+    witness = is_exceptional_exact(consecutive_products(make_prime_set([2, 3]), 3))[1]
     assert witness.twists == (1, 1) and witness.unity_power == 1
-    assert non_fixing_witness(make_radicand_set(2, [2, 3, 6])) is None
-    witness = non_fixing_witness(make_radicand_set(2, [2, 3]))
+    assert is_exceptional_exact(make_radicand_set(2, [2, 3, 6]))[1] is None
+    witness = is_exceptional_exact(make_radicand_set(2, [2, 3]))[1]
     assert witness.twists == (1, 1)
 
 

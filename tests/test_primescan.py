@@ -21,7 +21,13 @@ from exceptio.primescan import (
     sieve_primes,
 )
 
-from oracles import eval_poly, primes_by_trial_division, roots_by_sweep, smallest_rootless_modulus
+from oracles import (
+    eval_poly,
+    primes_by_trial_division,
+    roots_by_sweep,
+    segmented_sieve,
+    smallest_rootless_modulus,
+)
 
 SEXTIC = parse_factors("x^2-2; x^2-3; x^2-6")
 QUINTIC = parse_factors("x^2+108; x^3+2")
@@ -43,7 +49,18 @@ def test_sieve_examples():
 
 
 def test_sieve_matches_trial_division():
-    assert list(sieve_primes(10_000).primes) == primes_by_trial_division(10_000)
+    assert list(sieve_primes(20_000).primes) == primes_by_trial_division(20_000)
+
+
+def test_sieve_matches_segmented_sieve():
+    # every small limit, both sides of each odd prime square, and both sides
+    # of the oracle's first block end (its blocks of 2^17 start at 2)
+    limits = list(range(2, 1001))
+    for p in primes_by_trial_division(97):
+        limits += [p * p - 1, p * p, p * p + 1]
+    limits += [(1 << 17) + k for k in (-1, 0, 1, 2)] + [2 << 17, 10**6]
+    for limit in limits:
+        assert sieve_primes(limit).primes == segmented_sieve(limit), limit
 
 
 def test_scan_sextic_has_no_failures():

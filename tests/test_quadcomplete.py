@@ -12,7 +12,6 @@ from exceptio.quadcomplete import (
     cubic_resolvent_completion,
     find_intersective_d,
     legendre_symbol,
-    verify_completion,
 )
 
 
@@ -88,25 +87,31 @@ def test_candidate_invariants():
         assert isinstance(candidate, CompletionCandidate)
 
 
+def _completed(F, d):
+    return product_of(F.factors + (make_poly([-d, 0, 1]),))
+
+
 def test_verify_completion_on_exceptional_family():
     F = parse_factors("x^2-2; x^2-3; x^2-6")
     candidate = find_intersective_d([], 100)
-    report = verify_completion(F, candidate.d, 1000, 1000)
-    assert report.former_failures == ()
-    assert report.ok
+    assert scan(F, 1000).failures == ()  # no former failure, so no power to check
+    assert scan(_completed(F, candidate.d), 1000).failures == ()
 
 
 def test_verify_completion_cannot_repair_positive_density():
     F = parse_factors("x^2-2")
-    report = verify_completion(F, 41, 100, 100)
-    assert not report.ok
-    assert report.violating_primes  # density-positive failures stay
+    former = scan(F, 100).failures
+    completed = _completed(F, 41)
+    # density-positive failures stay, and the smallest is the screen's answer
+    assert scan(completed, 100).failures
+    assert intersective_screen(completed, 100) == former[0] == 3
 
 
 def test_verify_completion_trivial_root():
     F = parse_factors("x-1")
-    report = verify_completion(F, 17, 100, 100)
-    assert report.ok and report.former_failures == ()
+    completed = _completed(F, 17)
+    assert scan(F, 100).failures == () and scan(completed, 100).failures == ()
+    assert intersective_screen(completed, 100) is None
 
 
 def test_completed_product_passes_intersective_screen():
