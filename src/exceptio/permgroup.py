@@ -30,6 +30,8 @@ from .nt import is_prime, primitive_root
 Perm = tuple[int, ...]
 
 DEFAULT_CAP = 200_000
+# DEFAULT_CAP elements of this degree take about 115 MB
+MAX_GROUP_FILE_DEGREE = 64
 
 
 def identity(n: int) -> Perm:
@@ -135,13 +137,8 @@ def chebotarev_root_density(G: PermutationGroup) -> Fraction:
 
 
 def orbit_count(G: PermutationGroup) -> int:
-    """Number of orbits, by the fixed-point average, cross-checked against a
-    union-find orbit partition of the generators."""
-    total = sum(fixed_point_count(g) for g in G.elements)
-    if total % G.order:
-        raise RuntimeError("fixed-point sum not divisible by group order")
-    by_average = total // G.order
-
+    """Number of orbits: the classes of a union-find over the generators'
+    edges i -> g[i]."""
     parent = list(range(G.degree))
 
     def find(x):
@@ -155,73 +152,65 @@ def orbit_count(G: PermutationGroup) -> int:
             ri, rx = find(i), find(x)
             if ri != rx:
                 parent[ri] = rx
-    by_partition = len({find(i) for i in range(G.degree)})
-    if by_average != by_partition:
-        raise RuntimeError("orbit count mismatch between average and partition")
-    return by_average
+    return len({find(i) for i in range(G.degree)})
 
 
 def is_transitive(G: PermutationGroup) -> bool:
     return orbit_count(G) == 1
 
 
-def index2_subgroups(G: PermutationGroup) -> list[tuple[Perm, ...]]:
-    """All index-two subgroups, via sign characters on the generators.
+def _sign_labels(G: PermutationGroup, signs) -> dict[Perm, int] | None:
+    """Propagate one sign per generator along every Cayley edge g -> g s
+    from the identity: the labels of all elements, or None at the first
+    edge whose ends disagree.  A consistent labelling is a homomorphism
+    onto {1, -1}, so its kernel is a subgroup of index at most two."""
+    e = identity(G.degree)
+    label = {e: 1}
+    frontier = [e]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            lg = label[g]
+            for s, sign in zip(G.generators, signs):
+                h = tuple(g[x] for x in s)
+                known = label.get(h)
+                if known is None:
+                    label[h] = lg * sign
+                    fresh.append(h)
+                elif known != lg * sign:
+                    return None
+        frontier = fresh
+    return label
 
-    Each candidate assignment of signs to generators is propagated along
-    every Cayley edge; assignments that label consistently are exactly the
-    homomorphisms onto {1, -1}, and their kernels are the subgroups sought.
-    """
+
+def index2_subgroups(G: PermutationGroup) -> list[tuple[Perm, ...]]:
+    """All index-two subgroups: the kernels of the sign assignments to the
+    generators, not all +1, that label the Cayley graph consistently."""
     if G.order % 2:
         return []
     kernels = set()
-    e = identity(G.degree)
     for signs in itertools.product((1, -1), repeat=len(G.generators)):
-        if all(s == 1 for s in signs):
-            continue
-        label = {e: 1}
-        frontier = [e]
-        consistent = True
-        while frontier and consistent:
-            fresh = []
-            for g in frontier:
-                lg = label[g]
-                for s, sign in zip(G.generators, signs):
-                    h = tuple(g[x] for x in s)
-                    expected = lg * sign
-                    known = label.get(h)
-                    if known is None:
-                        label[h] = expected
-                        fresh.append(h)
-                    elif known != expected:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-            frontier = fresh
-        if consistent:
-            kernels.add(tuple(sorted(g for g in G.elements if label[g] == 1)))
+        label = _sign_labels(G, signs) if -1 in signs else None
+        if label is not None:
+            kernels.add(tuple(g for g in G.elements if label[g] == 1))
     return sorted(kernels)
-
-
-def _is_subgroup(G: PermutationGroup, H) -> bool:
-    members = set(H)
-    if identity(G.degree) not in members or not members <= set(G.elements):
-        return False
-    return all(compose(a, b) in members for a in members for b in members)
 
 
 def unique_fp_coset_condition(G: PermutationGroup, H) -> CosetCheck:
     """Check that every element outside the index-two subgroup H fixes
-    exactly one point."""
-    H = tuple(sorted(tuple(h) for h in H))
-    if 2 * len(H) != G.order or not _is_subgroup(G, H):
+    exactly one point.
+
+    H is validated by the labelling that signs each generator +1 inside H
+    and -1 outside: H is an index-two subgroup iff it holds half of G's
+    elements, the labelling is consistent, and H is its kernel."""
+    members = {tuple(h) for h in H}
+    label = None
+    if 2 * len(members) == G.order:
+        label = _sign_labels(G, [1 if s in members else -1 for s in G.generators])
+    if label is None or {g for g in G.elements if label[g] == 1} != members:
         raise NotIndexTwo("H is not an index-two subgroup of G")
-    members = set(H)
-    violations = tuple(
-        g for g in G.elements if g not in members and fixed_point_count(g) != 1
-    )
-    return CosetCheck(G, H, not violations, violations)
+    violations = tuple(g for g in G.elements if label[g] == -1 and fixed_point_count(g) != 1)
+    return CosetCheck(G, tuple(sorted(members)), not violations, violations)
 
 
 def admits_quadratic_completion(G: PermutationGroup):
@@ -375,9 +364,12 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermutationGroup:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("empty group file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "degree" or not header[1].isdigit():
+    header = re.fullmatch(r"degree\s+0*([0-9]+)", lines[0])
+    if header is None:
         raise ParseError(f"first line must be 'degree n', got {lines[0]!r}")
+    # length first: int() refuses strings past 4300 digits
+    if len(header[1]) > 4 or int(header[1]) > MAX_GROUP_FILE_DEGREE:
+        raise DegreeTooLarge(f"group files are capped at degree {MAX_GROUP_FILE_DEGREE}")
     degree = int(header[1])
     if degree < 1:
         raise ParseError("degree must be positive")

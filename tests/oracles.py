@@ -280,6 +280,18 @@ def smallest_rootless_modulus(f: list[int], bound: int):
     return None
 
 
+def is_index_two_subgroup(G, H) -> bool:
+    """Whether the distinct members of H form an index-two subgroup of G
+    (anything with `degree` and `elements`): half of G's elements, the
+    identity among them, all inside G, and every pairwise product a member."""
+    members = set(H)
+    if 2 * len(members) != len(G.elements):
+        return False
+    if tuple(range(G.degree)) not in members or not members <= set(G.elements):
+        return False
+    return all(tuple(a[x] for x in b) in members for a in members for b in members)
+
+
 def transitive_subgroups_by_closure(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Element tuples of every transitive subgroup of S_n, sorted by order,
     then elements: closures of every generator set of size <= 3, built up

@@ -247,3 +247,16 @@ def test_kummer_on_large_prime_radicand_finishes():
     result = json.loads(done.stdout)["result"]
     assert result["exceptional_exact"] is False
     assert result["witness"]["twists"] == {"2": 1, "100000000000000000039": 1}
+
+
+def test_group_on_s8_finishes(tmp_path):
+    # index-two subgroups are checked by one sign labelling of the Cayley
+    # graph, not by composing every pair of their elements
+    path = tmp_path / "s8.group"
+    path.write_text("degree 8\n(0 1 2 3 4 5 6 7)\n(0 1)\n")
+    done = _run_module("group", "--group-file", str(path))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["order"] == 40320
+    assert result["density"] == "3641/5760"
+    assert result["quad_completion"] is None

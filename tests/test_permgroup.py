@@ -8,6 +8,7 @@ import pytest
 
 from exceptio import errors
 from exceptio.permgroup import (
+    MAX_GROUP_FILE_DEGREE,
     admits_quadratic_completion,
     all_transitive_subgroups,
     chebotarev_root_density,
@@ -30,7 +31,7 @@ from exceptio.permgroup import (
     unique_fp_coset_condition,
 )
 
-from oracles import transitive_subgroups_by_closure
+from oracles import is_index_two_subgroup, transitive_subgroups_by_closure
 
 C3 = generate_group([(1, 2, 0)])
 S3 = generate_group([(1, 2, 0), (1, 0, 2)])
@@ -181,6 +182,60 @@ def test_unique_fp_coset_condition():
         unique_fp_coset_condition(d4, rot3)
 
 
+def test_coset_condition_refuses_what_is_not_an_index_two_subgroup():
+    c4 = generate_group([(1, 2, 3, 0)])
+    e = identity(4)
+    for H in ([e, e], [e, (1, 0, 2, 3)], [e, (1, 2, 3, 0)]):
+        # a repeated member, a permutation outside C4, a set not closed
+        with pytest.raises(errors.NotIndexTwo):
+            unique_fp_coset_condition(c4, H)
+    check = unique_fp_coset_condition(c4, [e, (2, 3, 0, 1)])
+    assert check.violations == ((1, 2, 3, 0), (3, 0, 1, 2))
+
+
+def test_coset_condition_matches_pairwise_subgroup_oracle():
+    # the whole group, every kernel, every kernel with one member swapped for
+    # an element outside it, and seeded half-size sets holding the identity
+    d4_rotation, d4_reflection = (1, 2, 3, 0), (0, 3, 2, 1)
+    groups = [
+        S3,
+        generate_group([(1, 2, 3, 0)]),
+        KLEIN4,
+        dihedral_group(4),
+        dihedral_group(5),
+        dihedral_group(6),
+        generate_group([parse_cycles("(0 1 2)", 4), parse_cycles("(1 2 3)", 4)]),  # A4
+        S4,
+        generate_group([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]),  # F20
+        KLEIN_SEXTIC,
+        # generator lists with a repeat or the identity
+        generate_group([(1, 0, 2), (1, 2, 0), (1, 0, 2)]),
+        generate_group([(1, 2, 3, 0), (1, 2, 3, 0)]),
+        generate_group([identity(4), (1, 0, 3, 2), (2, 3, 0, 1)]),
+        generate_group([d4_rotation, d4_reflection, identity(4), d4_reflection]),
+    ]
+    rng = random.Random(1806)
+    for G in groups:
+        e = identity(G.degree)
+        candidates = [G.elements]
+        for H in index2_subgroups(G):
+            assert is_index_two_subgroup(G, H)
+            candidates.append(H)
+            outside = [g for g in G.elements if g not in set(H)]
+            candidates += [H[:i] + (g,) + H[i + 1 :] for i in range(len(H)) for g in outside]
+        others = [g for g in G.elements if g != e]
+        candidates += [(e, *rng.sample(others, G.order // 2 - 1)) for _ in range(20)]
+        for H in candidates:
+            if not is_index_two_subgroup(G, H):
+                with pytest.raises(errors.NotIndexTwo):
+                    unique_fp_coset_condition(G, H)
+                continue
+            check = unique_fp_coset_condition(G, H)
+            expected = tuple(g for g in G.elements if g not in set(H) and fixed_point_count(g) != 1)
+            assert check.violations == expected
+            assert check.verdict == (not expected)
+
+
 def test_admits_quadratic_completion():
     d5 = dihedral_group(5)
     H = admits_quadratic_completion(d5)
@@ -310,9 +365,18 @@ def test_group_file_round_trip():
     text = "\n".join([f"degree {G.degree}", *map(format_cycles, G.generators)]) + "\n"
     assert parse_group_file(text).elements == G.elements
     assert parse_group_file("degree 3\n").order == 1
-    for bad in ["", "degree x\n", "5\n(0 1)"]:
+    for bad in ["", "degree x\n", "5\n(0 1)", "degree \u00b2\n(0 1)\n"]:
         with pytest.raises(errors.ParseError):
             parse_group_file(bad)
+
+
+def test_group_file_degree_cap():
+    # refused from the header, before any permutation is built
+    with pytest.raises(errors.DegreeTooLarge):
+        parse_group_file(f"degree {MAX_GROUP_FILE_DEGREE + 1}\n(0 1)\n")
+    with pytest.raises(errors.DegreeTooLarge):
+        parse_group_file("degree " + "9" * 5000 + "\n(0 1)\n")
+    assert parse_group_file(f"degree {MAX_GROUP_FILE_DEGREE}\n(0 1)\n").order == 2
 
 
 def test_group_payload_schema():
