@@ -29,7 +29,6 @@ from .kummer import (
 from .permgroup import group_payload, parse_group_file
 from .primescan import (
     ScanCache,
-    empirical_density,
     exceptional_verdict,
     intersective_screen,
     report_payload,
@@ -89,7 +88,7 @@ def _cmd_pattern(args):
 
 def _cmd_density(args):
     _, report = _scan_with_cache(args)
-    return {"density": str(empirical_density(report))}
+    return {"density": str(report.density_estimate)}
 
 
 def _cmd_group(args):

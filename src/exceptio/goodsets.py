@@ -1,10 +1,11 @@
 """Minimal covering sets of 0/1 subset-sum forms over F_p.
 
-A set of forms is *good* when every point of F_p^n is annihilated by at
-least one form.  Good sets correspond to radicand sets whose radical family
-is exceptional, with each form the 0/1 exponent vector of a radicand over
-the support primes; minimal good sets therefore give minimal exceptional
-families.
+A form is a sorted tuple of distinct coordinates: the nonzero positions of
+a 0/1 vector, the same tuples as `RadicandSet.vectors`.  A set of forms is
+*good* when every point of F_p^n is annihilated by at least one form.  Good
+sets correspond to radicand sets whose radical family is exceptional, with
+each form the exponent vector of a radicand over the support primes;
+minimal good sets therefore give minimal exceptional families.
 """
 
 from __future__ import annotations
@@ -25,42 +26,35 @@ from .nt import is_prime
 FORM_DIMENSION_CAP = 20
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Sum of a nonempty subset of the coordinates (a 0/1 form)."""
-
-    support: tuple[int, ...]
-
-
-def make_form(support) -> LinearForm:
-    support = tuple(sorted(set(int(c) for c in support)))
-    if not support:
-        raise BadParameters("a form needs a nonempty support")
-    if any(c < 0 for c in support):
-        raise BadParameters("coordinates are nonnegative")
-    return LinearForm(support)
+def _size_then_support(form: tuple[int, ...]):
+    return len(form), form
 
 
 @dataclass(frozen=True)
 class FormSet:
     p: int
     n: int
-    forms: tuple[LinearForm, ...]
+    forms: tuple[tuple[int, ...], ...]
 
 
 def make_form_set(p: int, n: int, forms) -> FormSet:
+    """The form set of iterables of coordinates: each form is sorted and
+    deduplicated, repeated forms are dropped, and the rest are ordered by
+    size, then support."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise BadParameters("dimension must be positive")
-    by_support = {f.support: f for f in forms}
-    supports = sorted(by_support, key=lambda s: (len(s), s))
+    distinct = {tuple(sorted({int(c) for c in form})) for form in forms}
+    supports = sorted(distinct, key=_size_then_support)
     for s in supports:
+        if not s:
+            raise BadParameters("a form needs a nonempty support")
+        if s[0] < 0:
+            raise BadParameters("coordinates are nonnegative")
         if s[-1] >= n:
             raise SupportMismatch(f"form {s} exceeds dimension {n}")
-    # from a list, not a generator: tuple() sizes a generator's result by
-    # resizing a guess, and those tuples pile up in CPython's free lists
-    return FormSet(p, n, tuple([by_support[s] for s in supports]))
+    return FormSet(p, n, tuple(supports))
 
 
 @dataclass(frozen=True)
@@ -71,21 +65,17 @@ class SearchResult:
     exhaustive: bool
 
 
-def all_forms(n: int) -> tuple[LinearForm, ...]:
+def all_forms(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2^n - 1 nonzero 0/1 forms in n coordinates, by size then support."""
     if not 1 <= n <= FORM_DIMENSION_CAP:
         raise DimensionTooLarge(f"dimension must be in [1, {FORM_DIMENSION_CAP}]")
-    forms = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            forms.append(LinearForm(combo))
-    return tuple(forms)
+    return tuple([c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)])
 
 
 def is_good(T: FormSet):
     """(True, None) if some form vanishes at each point, else (False, point)
     with the first point, in lexicographic order, at which none does."""
-    x = first_uncovered_point(T.p, T.n, [f.support for f in T.forms])
+    x = first_uncovered_point(T.p, T.n, T.forms)
     return x is None, x
 
 
@@ -125,7 +115,7 @@ def min_good_size(
         mask = 0
         for idx, x in enumerate(points):
             total = 0
-            for c in form.support:
+            for c in form:
                 total += x[c]
             if total % p == 0:
                 mask |= 1 << idx
@@ -137,11 +127,11 @@ def min_good_size(
 
     coordinate_maps = None
     if symmetry_reduction:
-        index_of = {form.support: i for i, form in enumerate(forms)}
+        index_of = {form: i for i, form in enumerate(forms)}
         coordinate_maps = []
         for sigma in itertools.permutations(range(n)):
             coordinate_maps.append(
-                tuple(index_of[tuple(sorted(sigma[c] for c in form.support))] for form in forms)
+                tuple(index_of[tuple(sorted(sigma[c] for c in form))] for form in forms)
             )
         coordinate_maps = coordinate_maps[1:]  # drop the identity
 
@@ -241,28 +231,24 @@ def radicands_from_forms(T: FormSet, L: PrimeSet) -> RadicandSet:
     radicands = []
     for form in T.forms:
         value = 1
-        for c in form.support:
+        for c in form:
             value *= L.primes[c]
         radicands.append(value)
     return make_radicand_set(T.p, radicands)
 
 
-def forms_from_radicands(B: RadicandSet, L: PrimeSet | None = None) -> FormSet:
-    """The 0/1 exponent vectors of the radicands over the support primes,
-    or over L's primes when L is given."""
-    if L is None:
-        return make_form_set(B.p, len(B.support), [LinearForm(v) for v in B.vectors])
-    if not set(B.support) <= set(L.primes):
-        raise SupportMismatch("prime list does not cover the radicand support")
-    position = {q: i for i, q in enumerate(L.primes)}
-    forms = [LinearForm(tuple(position[q] for q in sup)) for sup in B.supports]
-    return make_form_set(B.p, len(L.primes), forms)
+def forms_from_radicands(B: RadicandSet) -> FormSet:
+    """The 0/1 exponent vectors of the radicands over the support primes.
+
+    `make_radicand_set` makes them sorted, distinct and in range, so they
+    are ordered here and need no further check."""
+    return FormSet(B.p, len(B.support), tuple(sorted(B.vectors, key=_size_then_support)))
 
 
 def search_payload(result: SearchResult) -> dict:
     witness = None
     if result.witness is not None:
-        witness = [list(form.support) for form in result.witness.forms]
+        witness = [list(form) for form in result.witness.forms]
     return {
         "min": result.minimum,
         "witness": witness,

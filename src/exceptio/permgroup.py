@@ -74,8 +74,6 @@ class PermutationGroup:
 class CosetCheck:
     """Result of the unique-fixed-point test on the nontrivial coset."""
 
-    group: PermutationGroup
-    subgroup: tuple[Perm, ...]
     verdict: bool
     violations: tuple[Perm, ...]
 
@@ -210,7 +208,7 @@ def unique_fp_coset_condition(G: PermutationGroup, H) -> CosetCheck:
     if label is None or {g for g in G.elements if label[g] == 1} != members:
         raise NotIndexTwo("H is not an index-two subgroup of G")
     violations = tuple(g for g in G.elements if label[g] == -1 and fixed_point_count(g) != 1)
-    return CosetCheck(G, tuple(sorted(members)), not violations, violations)
+    return CosetCheck(not violations, violations)
 
 
 def admits_quadratic_completion(G: PermutationGroup):

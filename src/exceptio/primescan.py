@@ -320,11 +320,6 @@ def _failures(prepared, primes):
             yield p
 
 
-def _scan_chunk(prepared, primes) -> list[int]:
-    """The primes, in order, at which none of the prepared root tests succeeds."""
-    return list(_failures(prepared, primes))
-
-
 def _scan_primes(F: FactoredPolynomial, primes) -> tuple[int, ...]:
     return tuple(_failures(_prepare_factors(F), primes))
 
@@ -347,11 +342,6 @@ def scan(F: FactoredPolynomial, limit: int) -> ScanReport:
         raise BadParameters("scan limit must be at least 2")
     primes = sieve_primes(limit).primes
     return _build_report(F, limit, _scan_primes(F, primes))
-
-
-def empirical_density(report: ScanReport) -> Fraction:
-    """Fraction of scanned primes at which some factor had a root."""
-    return report.density_estimate
 
 
 def exceptional_verdict(

@@ -35,8 +35,8 @@ from exceptio.permgroup import (
     unique_fp_coset_condition,
 )
 from exceptio.primescan import (
+    _failures,
     _prepare_factor,
-    _scan_chunk,
     exceptional_verdict,
     intersective_screen,
     scan,
@@ -240,7 +240,7 @@ def test_criterion_10_property_suites():
         prepared = [_prepare_factor(f) for f in QUINTIC.factors]
         pieces = []
         for lo in range(0, len(primes), 511):
-            pieces.extend(_scan_chunk(prepared, primes[lo : lo + 511]))
+            pieces.extend(_failures(prepared, primes[lo : lo + 511]))
         assert tuple(pieces) == report.failures
 
         # witness replay: returned witnesses never fix a root

@@ -11,7 +11,6 @@ from exceptio.goodsets import (
     all_forms,
     forms_from_radicands,
     is_good,
-    make_form,
     make_form_set,
     min_good_size,
     min_over_n,
@@ -24,9 +23,9 @@ from oracles import min_good_size_unpruned
 
 
 def test_all_forms():
-    assert [f.support for f in all_forms(2)] == [(0,), (1,), (0, 1)]
+    assert list(all_forms(2)) == [(0,), (1,), (0, 1)]
     assert len(all_forms(3)) == 7
-    assert all_forms(1) == (make_form([0]),)
+    assert all_forms(1) == ((0,),)
     with pytest.raises(errors.DimensionTooLarge):
         all_forms(21)
 
@@ -36,16 +35,16 @@ def test_is_good_examples():
     good, uncovered = is_good(full2)
     assert good and uncovered is None
 
-    partial = make_form_set(2, 2, [make_form([0]), make_form([1])])
+    partial = make_form_set(2, 2, [(0,), (1,)])
     good, uncovered = is_good(partial)
     assert not good and uncovered == (1, 1)
 
-    single = make_form_set(3, 3, [make_form([0])])
+    single = make_form_set(3, 3, [(0,)])
     good, uncovered = is_good(single)
     assert not good and uncovered[0] != 0
 
     with pytest.raises(errors.EnumerationTooLarge):
-        is_good(make_form_set(5, 11, [make_form([0])]))
+        is_good(make_form_set(5, 11, [(0,)]))
 
 
 def test_good_sets_monotone_under_supersets():
@@ -122,7 +121,7 @@ def test_min_good_size_matches_unpruned_search():
                     assert got.minimum == minimum, key
                     assert (got.witness is None) == (witness is None), key
                     if witness is not None:
-                        assert [f.support for f in got.witness.forms] == witness, key
+                        assert list(got.witness.forms) == witness, key
                     assert got.exhaustive == exhaustive, key
                     assert 0 < got.nodes_explored <= nodes, key
                     absent += minimum is None
@@ -159,11 +158,11 @@ def test_p5_search_reports_bounds_only():
 def test_bridge_examples():
     B = make_radicand_set(2, [2, 3, 6])
     T = forms_from_radicands(B)
-    assert [f.support for f in T.forms] == [(0,), (1,), (0, 1)]
+    assert list(T.forms) == [(0,), (1,), (0, 1)]
     back = radicands_from_forms(T, make_prime_set([2, 3]))
     assert back.radicands == (2, 3, 6)
 
-    T = make_form_set(3, 1, [make_form([0])])
+    T = make_form_set(3, 1, [(0,)])
     assert radicands_from_forms(T, make_prime_set([7])).radicands == (7,)
 
     family = make_radicand_set(3, [2, 3, 5, 6, 15, 30])
@@ -196,14 +195,25 @@ def test_bridge_equivalence_small_supports():
                     assert witness.twists == point, (p, chosen)
 
 
-def test_forms_from_radicands_agrees_with_an_explicit_prime_list():
-    # the stored exponent vectors give the forms that the support primes do
+def test_make_form_set_normalises_and_checks_forms():
+    T = make_form_set(3, 3, [[2, 0], (1, 1), (0, 2, 2), (1,), {2}, range(3)])
+    assert T.forms == ((1,), (2,), (0, 2), (0, 1, 2))
+    for bad in [(), (-1,)]:
+        with pytest.raises(errors.BadParameters):
+            make_form_set(3, 2, [(0,), bad])
+    with pytest.raises(errors.SupportMismatch):
+        make_form_set(3, 2, [(0,), (2,)])
+
+    # the bridge's forms are the stored exponent vectors, by size then support
     pool = [2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70, 105, 210]
     rng = random.Random(1200)
     for p in (2, 3, 5):
         for _ in range(200):
             B = make_radicand_set(p, rng.sample(pool, rng.randint(1, len(pool))))
-            assert forms_from_radicands(B) == forms_from_radicands(B, make_prime_set(B.support))
+            T = forms_from_radicands(B)
+            assert (T.p, T.n) == (p, len(B.support))
+            assert T.forms == tuple(sorted(B.vectors, key=lambda s: (len(s), s)))
+            assert T == make_form_set(p, len(B.support), B.vectors)
 
 
 def test_search_payload_schema():

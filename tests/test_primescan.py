@@ -9,15 +9,14 @@ from exceptio import errors
 from exceptio.intpoly import SWEEP_THRESHOLD, discriminant, make_poly, multiply, parse_factors, product_of
 from exceptio.primescan import (
     ScanCache,
-    empirical_density,
     exceptional_verdict,
     has_root_mod_m,
     intersective_screen,
     report_payload,
     scan,
+    _failures,
     _frobenius_kernel,
     _prepare_factor,
-    _scan_chunk,
     sieve_primes,
 )
 
@@ -83,7 +82,7 @@ def test_scan_x2_minus_2_failures_match_reciprocity():
 def test_scan_linear_never_fails():
     report = scan(product_of([make_poly([-1, 1])]), 50)
     assert report.failures == ()
-    assert empirical_density(report) == 1
+    assert report.density_estimate == 1
 
 
 def test_scan_failures_are_prefix_stable():
@@ -101,7 +100,7 @@ def test_scan_deterministic_under_partitioning():
     prepared = [_prepare_factor(f) for f in QUINTIC.factors]
     merged = []
     for i in range(0, len(primes), 997):
-        merged.extend(_scan_chunk(prepared, primes[i : i + 997]))
+        merged.extend(_failures(prepared, primes[i : i + 997]))
     assert tuple(merged) == report_seq.failures
 
 
@@ -112,7 +111,7 @@ def test_scan_generic_path_agrees_with_fast_paths():
     for coeffs in [[-2, 0, 1], [2, 0, 0, 1], [-1, -1, 0, 1], [3, -1, 2, 1]]:
         f = make_poly(coeffs)
         prepared = [_prepare_factor(f)]
-        fails = set(_scan_chunk(prepared, primes))
+        fails = set(_failures(prepared, primes))
         sample = rng.sample(primes, 60)
         for p in sample:
             assert (p in fails) == (not roots_by_sweep(coeffs, p)), (coeffs, p)
@@ -178,7 +177,7 @@ def test_scan_chunk_mixed_product_matches_sweep():
     primes = sieve_primes(1500).primes
     expected = [p for p in primes if not any(_has_root_by_sweep(c, p) for c in factors)]
     assert expected  # the product fails somewhere, so the merge is exercised
-    assert _scan_chunk(prepared, primes) == expected
+    assert list(_failures(prepared, primes)) == expected
     # factors are tried cheapest first; the failure set is the same in any order
     for perm in permutations(factors):
         assert scan(product_of([make_poly(c) for c in perm]), 1500).failures == tuple(expected), perm
