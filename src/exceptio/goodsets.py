@@ -11,7 +11,7 @@ minimal good sets therefore give minimal exceptional families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -30,8 +30,7 @@ def _size_then_support(form: tuple[int, ...]):
     return len(form), form
 
 
-@dataclass(frozen=True)
-class FormSet:
+class FormSet(NamedTuple):
     p: int
     n: int
     forms: tuple[tuple[int, ...], ...]
@@ -57,8 +56,7 @@ def make_form_set(p: int, n: int, forms) -> FormSet:
     return FormSet(p, n, tuple(supports))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     minimum: int | None
     witness: FormSet | None
     nodes_explored: int

@@ -9,8 +9,8 @@ every operation is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DegreeTooLarge,
@@ -46,8 +46,7 @@ MAX_PARSE_DEGREE = 10_000
 MAX_PARSE_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial; coeffs[k] is the coefficient of x^k."""
 
     coeffs: tuple[int, ...]
@@ -83,8 +82,7 @@ class IntPolynomial:
         return poly_text(self)
 
 
-@dataclass(frozen=True)
-class ModPolynomial:
+class ModPolynomial(NamedTuple):
     """Polynomial over F_p; empty coeffs tuple means the zero reduction."""
 
     p: int
@@ -99,15 +97,13 @@ class ModPolynomial:
         return NEG_INFINITY if self.is_zero else len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class FactorisationPattern:
+class FactorisationPattern(NamedTuple):
     """Multiset of irreducible-factor degrees, sorted ascending."""
 
     degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FactoredPolynomial:
+class FactoredPolynomial(NamedTuple):
     """Product of monic factors of degree >= 1, with the expanded product cached."""
 
     factors: tuple[IntPolynomial, ...]

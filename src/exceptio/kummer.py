@@ -10,8 +10,8 @@ the twists, `first_uncovered_point`, decides exceptionality exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -27,8 +27,7 @@ ENUMERATION_POINT_CAP = 10**7
 SUPPORT_CAP = 12
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(NamedTuple):
     """Strictly increasing tuple of distinct rational primes."""
 
     primes: tuple[int, ...]
@@ -45,8 +44,7 @@ def make_prime_set(primes) -> PrimeSet:
     return PrimeSet(primes)
 
 
-@dataclass(frozen=True)
-class RadicandSet:
+class RadicandSet(NamedTuple):
     """Square-free radicands b > 1 under a fixed prime exponent p.
 
     `supports` lists, per radicand, its prime divisors; `support` is their
@@ -91,8 +89,7 @@ def make_radicand_set(p: int, radicands) -> RadicandSet:
     return RadicandSet(p, radicands, supports, support, vectors)
 
 
-@dataclass(frozen=True)
-class ExponentMap:
+class ExponentMap(NamedTuple):
     """One splitting-field automorphism: per-prime radical twists plus the
     exponent of its action on the chosen root of unity (never zero)."""
 

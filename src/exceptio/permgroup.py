@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -58,8 +58,7 @@ def is_permutation(a) -> bool:
     return sorted(a) == list(range(len(a)))
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(NamedTuple):
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
@@ -70,8 +69,7 @@ class PermutationGroup:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class CosetCheck:
+class CosetCheck(NamedTuple):
     """Result of the unique-fixed-point test on the nontrivial coset."""
 
     verdict: bool

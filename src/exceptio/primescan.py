@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
-from operator import mul
+from operator import lt, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -55,14 +55,12 @@ MODULUS_CAP = 10**8
 SCREEN_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(NamedTuple):
     limit: int
     primes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     poly_key: str
     limit: int
     primes_scanned: int
@@ -71,8 +69,7 @@ class ScanReport:
     delta: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Exceptionality verdict.
 
     HasIntegerRoot carries the root, NotExceptional a failure prime outside
@@ -88,22 +85,39 @@ class Verdict:
 
 def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> PrimeTable:
     """All primes up to limit by an odd-only sieve of Eratosthenes."""
+    _check_sieve_limit(limit, cap)
+    return PrimeTable(limit, _sieve_cached(limit))
+
+
+def prime_count(limit: int) -> int:
+    """The number of primes up to limit, counted from the sieve flags
+    without building the primes; the same errors as `sieve_primes`."""
+    _check_sieve_limit(limit, SIEVE_CAP)
+    return 1 + _odd_prime_flags(limit).count(1)
+
+
+def _check_sieve_limit(limit: int, cap: int) -> None:
     if limit < 2:
         raise BadParameters("sieve limit must be at least 2")
     if limit > cap:
         raise LimitTooLarge(f"sieve limit {limit} exceeds cap {cap}")
-    return PrimeTable(limit, _sieve_cached(limit))
 
 
 @lru_cache(maxsize=8)
-def _sieve_cached(limit: int) -> tuple[int, ...]:
-    # flags[i] stands for the odd number 2i + 3
+def _odd_prime_flags(limit: int) -> bytearray:
+    """flags[i] is 1 iff the odd number 2i + 3 <= limit is prime.  Shared
+    by every caller through the cache, so nothing may write to it."""
     flags = bytearray([1]) * ((limit - 1) // 2)
     for p in range(3, isqrt(limit) + 1, 2):
         if flags[(p - 3) // 2]:
             start = (p * p - 3) // 2
             flags[start::p] = bytes(len(range(start, len(flags), p)))
-    return tuple(chain((2,), compress(range(3, limit + 1, 2), flags)))
+    return flags
+
+
+@lru_cache(maxsize=8)
+def _sieve_cached(limit: int) -> tuple[int, ...]:
+    return tuple(chain((2,), compress(range(3, limit + 1, 2), _odd_prime_flags(limit))))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +161,15 @@ def _always(p: int) -> bool:
 
 
 def _binomial_kernel(n: int, c: int):
-    """x^n - c has a root mod p iff c is 0 or an n-th power residue."""
+    """x^n - c has a root mod p iff c is 0 or an n-th power residue.  When
+    gcd(n, p - 1) = 1, x -> x^n permutes F_p, so every c is one."""
 
     def has_root(p: int) -> bool:
+        g = gcd(n, p - 1)
+        if g == 1:
+            return True
         r = c % p
-        return r == 0 or pow(r, (p - 1) // gcd(n, p - 1), p) == 1
+        return r == 0 or pow(r, (p - 1) // g, p) == 1
 
     return has_root
 
@@ -325,7 +343,7 @@ def _scan_primes(F: FactoredPolynomial, primes) -> tuple[int, ...]:
 
 
 def _build_report(F: FactoredPolynomial, limit: int, failures) -> ScanReport:
-    scanned = len(sieve_primes(limit).primes)
+    scanned = prime_count(limit)
     return ScanReport(
         poly_key=factored_text(F),
         limit=limit,
@@ -466,7 +484,7 @@ class ScanCache:
                 raise CorruptCacheEntry(f"unreadable cache line {line!r}")
             limit = int(m.group(1))
             failures = tuple(int(tok) for tok in m.group(2).split(",") if tok)
-            if list(failures) != sorted(set(failures)) or (failures and failures[-1] > limit):
+            if not all(map(lt, failures, failures[1:])) or (failures and failures[-1] > limit):
                 raise CorruptCacheEntry(f"inconsistent cache line {line!r}")
             entries.append((limit, failures))
         entries.sort()

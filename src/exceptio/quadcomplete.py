@@ -10,7 +10,7 @@ prime power (a candidate, not a proof: `primescan.scan` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -23,8 +23,7 @@ from .intpoly import IntPolynomial, discriminant, has_integer_root, make_poly
 from .nt import is_prime, is_square, is_squarefree_int, legendre_symbol
 
 
-@dataclass(frozen=True)
-class CompletionCandidate:
+class CompletionCandidate(NamedTuple):
     """A completing discriminant with its residue class and QR certificates."""
 
     d: int

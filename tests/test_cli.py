@@ -202,13 +202,43 @@ def test_kummer_flags_mutually_exclusive(capsys):
     assert code == 2
 
 
-def test_cli_import_leaves_hashlib_unloaded():
-    # hashlib loads libcrypto; only cache file names need it
+def _loaded_after_cli_import(*names):
+    """Which of the named modules a fresh `import exceptio.cli` loads."""
     src = str(Path(exceptio.__file__).resolve().parents[1])
-    code = "import sys, exceptio.cli; print('hashlib' in sys.modules)"
+    code = f"import sys, exceptio.cli; print(*[n for n in {names!r} if n in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads libcrypto; only cache file names need it
+    assert _loaded_after_cli_import("hashlib") == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # records are NamedTuples; dataclasses would bring in inspect, ast and dis
+    # on every CLI call
+    assert _loaded_after_cli_import("dataclasses", "inspect") == []
+
+
+def _without_timing(envelope):
+    inputs = {k: v for k, v in envelope["inputs"].items() if k != "cache_dir"}
+    return {**envelope, "inputs": inputs, "elapsed_ms": None}
+
+
+def test_cached_envelopes_equal_cold_ones(capsys, tmp_path):
+    # a hit at the same limit, and one truncating a larger cached scan, print
+    # the cold envelope: the report counts its primes from the sieve flags
+    for sub in ("verdict", "density"):
+        for i, poly in enumerate(("x^2+108; x^3+2", "x^3-2", "x^4+x+1")):
+            cold_dir, wide_dir = str(tmp_path / f"{sub}{i}-cold"), str(tmp_path / f"{sub}{i}-wide")
+            argv = (sub, "--poly", poly, "--limit")
+            cold = run_json(capsys, *argv, "20000", "--cache-dir", cold_dir)
+            hit = run_json(capsys, *argv, "20000", "--cache-dir", cold_dir)
+            run_json(capsys, *argv, "50000", "--cache-dir", wide_dir)
+            truncated = run_json(capsys, *argv, "20000", "--cache-dir", wide_dir)
+            assert _without_timing(hit) == _without_timing(cold) == _without_timing(truncated), (sub, poly)
 
 
 def _run_module(*argv):

@@ -14,9 +14,11 @@ from exceptio.primescan import (
     intersective_screen,
     report_payload,
     scan,
+    _binomial_kernel,
     _failures,
     _frobenius_kernel,
     _prepare_factor,
+    prime_count,
     sieve_primes,
 )
 
@@ -40,11 +42,13 @@ def test_sieve_examples():
     assert len(sieve_primes(100).primes) == 25
     assert sieve_primes(2).primes == (2,)
     with pytest.raises(errors.LimitTooLarge):
-        sieve_primes(10**9 + 1)
-    with pytest.raises(errors.LimitTooLarge):
         sieve_primes(100, cap=50)
-    with pytest.raises(errors.BadParameters):
-        sieve_primes(1)
+    for sieve in (sieve_primes, prime_count):
+        with pytest.raises(errors.LimitTooLarge):
+            sieve(10**9 + 1)
+        for limit in (1, 0, -5):
+            with pytest.raises(errors.BadParameters):
+                sieve(limit)
 
 
 def test_sieve_matches_trial_division():
@@ -59,7 +63,9 @@ def test_sieve_matches_segmented_sieve():
         limits += [p * p - 1, p * p, p * p + 1]
     limits += [(1 << 17) + k for k in (-1, 0, 1, 2)] + [2 << 17, 10**6]
     for limit in limits:
-        assert sieve_primes(limit).primes == segmented_sieve(limit), limit
+        primes = sieve_primes(limit).primes
+        assert primes == segmented_sieve(limit), limit
+        assert prime_count(limit) == len(primes), limit
 
 
 def test_scan_sextic_has_no_failures():
@@ -143,6 +149,22 @@ def test_root_kernels_match_residue_sweep():
         for p in primes:
             expected = _has_root_by_sweep(coeffs, p)
             assert [has_root(p) for has_root in kernels] == [expected] * len(kernels), (coeffs, p)
+
+
+def test_binomial_kernel_matches_brute_force():
+    # x^n - c at every prime to 3000, p = 2 included, against the n-th powers
+    # of all residues (and the brute-force sweep below 200); when
+    # gcd(n, p - 1) = 1 the kernel answers before its pow
+    rng = random.Random(13)
+    for n in (2, 3, 5, 6, 7):
+        for p in primes_by_trial_division(3000):
+            powers = {pow(x, n, p) for x in range(p)}
+            for c in [0, 1, -1, p, -3 * p, p + 1] + [rng.randint(-10**6, 10**6) for _ in range(3)]:
+                expected = c % p in powers
+                assert _binomial_kernel(n, c)(p) == expected, (n, c, p)
+                if p < 200:
+                    f = make_poly([-c] + [0] * (n - 1) + [1])
+                    assert (has_root_mod_m(f, p) is not None) == expected, (n, c, p)
 
 
 def test_root_kernels_on_degenerate_reductions():
@@ -333,6 +355,27 @@ def test_cache_corruption_falls_back_to_rescan(tmp_path):
     again = cache.scan_cached(f, 100)
     assert again == report
     assert path.read_text().splitlines() == ["100\t" + ",".join(map(str, report.failures))]
+
+
+def test_cache_load_checks_each_line(tmp_path):
+    # failures must rise strictly and end at or below the line's limit; an
+    # empty failure list is a line, a blank line is skipped
+    cache = ScanCache(tmp_path)
+    key = "x^2-2"
+    path = cache.path_for(key)
+    for text, expected in [
+        ("100\t3,5,5\n", None),
+        ("100\t3,7,5\n", None),
+        ("100\t3,5,101\n", None),
+        ("100\t\n", [(100, ())]),
+        ("\n100\t3,5\n  \n50\t3,5,50\n", [(50, (3, 5, 50)), (100, (3, 5))]),
+    ]:
+        path.write_text(text)
+        if expected is None:
+            with pytest.raises(errors.CorruptCacheEntry):
+                cache.load(key)
+        else:
+            assert cache.load(key) == expected, text
 
 
 def test_pattern_frequencies_match_cycle_type_densities():
