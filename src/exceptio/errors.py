@@ -75,10 +75,6 @@ class DegreeMismatch(ExceptioError):
     code = "DegreeMismatch"
 
 
-class PointOutOfRange(ExceptioError):
-    code = "PointOutOfRange"
-
-
 class NotIndexTwo(ExceptioError):
     code = "NotIndexTwo"
 

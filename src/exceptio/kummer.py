@@ -32,9 +32,6 @@ class PrimeSet(NamedTuple):
 
     primes: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 def make_prime_set(primes) -> PrimeSet:
     primes = tuple(sorted(set(int(q) for q in primes)))

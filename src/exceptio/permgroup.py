@@ -23,7 +23,6 @@ from .errors import (
     NotIndexTwo,
     NotTransitive,
     ParseError,
-    PointOutOfRange,
 )
 from .nt import is_prime, primitive_root
 
@@ -36,11 +35,6 @@ MAX_GROUP_FILE_DEGREE = 64
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """a after b: the map i -> a[b[i]]."""
-    return tuple(a[x] for x in b)
 
 
 def inverse(a: Perm) -> Perm:
@@ -109,12 +103,6 @@ def generate_group(gens, cap: int = DEFAULT_CAP) -> PermutationGroup:
             raise BadParameters(f"{g} is not a permutation")
     elements = tuple(sorted(_closure(gens, cap)))
     return PermutationGroup(degree, gens, elements, cap)
-
-
-def point_stabilizer(G: PermutationGroup, i: int) -> tuple[Perm, ...]:
-    if not 0 <= i < G.degree:
-        raise PointOutOfRange(f"point {i} outside degree {G.degree}")
-    return tuple(g for g in G.elements if g[i] == i)
 
 
 def has_fixed_point_coverage(G: PermutationGroup):

@@ -21,6 +21,7 @@ report's full failure set instead.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -447,15 +448,16 @@ def intersective_screen(F: FactoredPolynomial, modulus_bound: int):
 
 
 # ---------------------------------------------------------------------------
-# scan cache: one file per polynomial key, lines of "limit<TAB>failures"
+# scan cache: one file per polynomial key, holding one "limit<TAB>failures" line
 # ---------------------------------------------------------------------------
 
-_CACHE_LINE = re.compile(r"^(\d+)\t([0-9,]*)$")
+_CACHE_LINE = re.compile(rb"([0-9]+)\t([0-9,]*)\n")
 
 
 class ScanCache:
-    """File-backed failure cache.  Entries are only trusted up to their
-    recorded limit; larger requests rescan the missing tail and extend."""
+    """File-backed failure cache.  Each file holds one entry, for the
+    largest limit scanned; smaller requests filter it, larger ones rescan
+    the missing tail and replace it."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -468,35 +470,41 @@ class ScanCache:
         return self.root / f"{slug}__{digest}.scan"
 
     def load(self, poly_key: str) -> list[tuple[int, tuple[int, ...]]]:
+        """`[(limit, failures)]`, or `[]` when nothing is cached.  A file that
+        is not one consistent line (failures strictly rising, none above the
+        limit) raises CorruptCacheEntry."""
         path = self.path_for(poly_key)
-        if not path.exists():
-            return []
         try:
-            text = path.read_text()
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return []
         except OSError as exc:
             raise CacheIoError(f"cannot read {path}: {exc}")
-        entries = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            m = _CACHE_LINE.match(line)
-            if m is None:
-                raise CorruptCacheEntry(f"unreadable cache line {line!r}")
-            limit = int(m.group(1))
-            failures = tuple(int(tok) for tok in m.group(2).split(",") if tok)
-            if not all(map(lt, failures, failures[1:])) or (failures and failures[-1] > limit):
-                raise CorruptCacheEntry(f"inconsistent cache line {line!r}")
-            entries.append((limit, failures))
-        entries.sort()
-        return entries
+        m = _CACHE_LINE.fullmatch(data)
+        if m is None:
+            raise CorruptCacheEntry(f"{path.name} is not one cache line")
+        limit = int(m[1])
+        failures = tuple(int(tok) for tok in m[2].split(b",") if tok)
+        if not all(map(lt, failures, failures[1:])) or (failures and failures[-1] > limit):
+            raise CorruptCacheEntry(f"inconsistent cache line in {path.name}")
+        return [(limit, failures)]
 
     def append(self, poly_key: str, limit: int, failures) -> None:
+        """Replace the cache file with the one entry (limit, failures): write
+        a temporary file named for this process beside it, then `os.replace`
+        it in, so a reader never sees part of a line.  Concurrent writers race
+        last-writer-wins, which may cost a rescan, never a wrong answer."""
         path = self.path_for(poly_key)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="ascii") as handle:
-                handle.write(f"{limit}\t{','.join(str(p) for p in failures)}\n")
+            tmp.write_text(f"{limit}\t{','.join(map(str, failures))}\n", encoding="ascii")
+            os.replace(tmp, path)
         except OSError as exc:
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
             raise CacheIoError(f"cannot write {path}: {exc}")
 
     def scan_cached(self, F: FactoredPolynomial, limit: int) -> ScanReport:
@@ -506,19 +514,12 @@ class ScanCache:
         try:
             entries = self.load(key)
         except CorruptCacheEntry:
-            try:
-                self.path_for(key).unlink()
-            except OSError:
-                pass
-            entries = []
-        covering = [e for e in entries if e[0] >= limit]
-        if covering:
-            failures = tuple(p for p in covering[0][1] if p <= limit)
-            return _build_report(F, limit, failures)
-        base_limit, base_failures = entries[-1] if entries else (0, ())
+            entries = []  # rescanned from 2 up, and replaced below
+        base_limit, base_failures = entries[0] if entries else (0, ())
+        if base_limit >= limit:
+            return _build_report(F, limit, base_failures[: bisect_right(base_failures, limit)])
         primes = sieve_primes(limit).primes
-        tail = primes[bisect_right(primes, base_limit) :]
-        failures = base_failures + _scan_primes(F, tail)
+        failures = base_failures + _scan_primes(F, primes[bisect_right(primes, base_limit) :])
         self.append(key, limit, failures)
         return _build_report(F, limit, failures)
 

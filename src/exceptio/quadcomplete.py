@@ -20,7 +20,11 @@ from .errors import (
     SquareDiscriminant,
 )
 from .intpoly import IntPolynomial, discriminant, has_integer_root, make_poly
-from .nt import is_prime, is_square, is_squarefree_int, legendre_symbol
+from .nt import is_prime, is_square, is_squarefree_int
+
+# d = 9, 17, ... up to 10^8: 1.25e7 candidates, 7.7 s on a 2-core VM when the
+# first 40 odd primes are bad and no d qualifies
+COMPLETE_D_CAP = 10**8
 
 
 class CompletionCandidate(NamedTuple):
@@ -54,19 +58,20 @@ def find_intersective_d(bad_primes, search_bound: int) -> CompletionCandidate:
 
     d = 1 mod 8 lifts a root of x^2 - d through all powers of 2; being a
     nonzero quadratic residue lifts through powers of each odd bad prime.
+    Only d = 1 mod 8 is tried, and Euler's criterion comes first:
+    d^((p-1)/2) = 1 mod p already rules out p | d, and about half the
+    candidates fail at each prime.
     """
-    if search_bound < 2:
-        raise BadParameters("search bound must be at least 2")
+    if not 2 <= search_bound <= COMPLETE_D_CAP:
+        raise BadParameters(f"search bound must be in [2, {COMPLETE_D_CAP}]")
     odd_bad = sorted({int(p) for p in bad_primes} - {2})
     for p in odd_bad:
-        if p == 2 or not is_prime(p):
+        if not is_prime(p):
             raise BadParameters(f"bad prime {p} is not prime")
-    for d in range(2, search_bound + 1):
-        if d % 8 != 1 or is_square(d) or not is_squarefree_int(d):
-            continue
-        if all(d % p != 0 and legendre_symbol(d, p) == 1 for p in odd_bad):
-            certificates = {p: legendre_symbol(d, p) for p in odd_bad}
-            return CompletionCandidate(d, d % 8, certificates)
+    halves = [(p, (p - 1) // 2) for p in odd_bad]
+    for d in range(9, search_bound + 1, 8):
+        if all(pow(d, h, p) == 1 for p, h in halves) and not is_square(d) and is_squarefree_int(d):
+            return CompletionCandidate(d, 1, dict.fromkeys(odd_bad, 1))
     raise NoCandidateInRange(f"no completing d up to {search_bound}")
 
 

@@ -280,6 +280,23 @@ def smallest_rootless_modulus(f: list[int], bound: int):
     return None
 
 
+def intersective_d_by_walk(bad_primes, bound: int):
+    """Smallest d in [2, bound] that is 1 mod 8, not a square, square-free
+    and a nonzero square modulo every odd bad prime, or None: every d in
+    turn, square-freeness by trial division before the residue tests."""
+    from math import isqrt
+
+    squares = {p: {x * x % p for x in range(1, p)} for p in set(bad_primes) - {2}}
+    for d in range(2, bound + 1):
+        if d % 8 != 1 or isqrt(d) ** 2 == d:
+            continue
+        if any(d % (k * k) == 0 for k in range(2, isqrt(d) + 1)):
+            continue
+        if all(d % p in residues for p, residues in squares.items()):
+            return d
+    return None
+
+
 def is_index_two_subgroup(G, H) -> bool:
     """Whether the distinct members of H form an index-two subgroup of G
     (anything with `degree` and `elements`): half of G's elements, the

@@ -141,6 +141,12 @@ def test_complete_d_subcommand(capsys):
     assert run_json(capsys, "complete-d", "--bound", "100")["result"]["d"] == 17
 
 
+def test_complete_d_bound_beyond_its_cap_is_a_domain_error(capsys):
+    code, out, _ = run_cli(capsys, "complete-d", "--bad", "3,5", "--bound", "1000000000000")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "BadParameters"
+
+
 def test_intersective_screen_subcommand(capsys):
     envelope = run_json(
         capsys, "intersective-screen", "--poly", "x^2+108; x^3+2", "--bound", "100"
@@ -247,6 +253,34 @@ def _run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "exceptio.cli", *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_concurrent_density_runs_share_one_cache_file(tmp_path):
+    # four processes on one polynomial at four limits, three rounds: each
+    # write replaces the file whole, so every run reads one valid line (or
+    # none) and no temp file outlives its writer
+    from exceptio.intpoly import parse_factors
+    from exceptio.primescan import ScanCache, scan
+
+    poly, limits = "x^3-x-1", (3000, 6000, 12000, 24000)
+    F = parse_factors(poly)
+    expected = {limit: str(scan(F, limit).density_estimate) for limit in limits}
+    src = str(Path(exceptio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "exceptio.cli", "density", "--poly", poly, "--cache-dir", str(tmp_path)]
+    for _ in range(3):
+        runs = [
+            (limit, subprocess.Popen(argv + ["--limit", str(limit)], env=env, stdout=subprocess.PIPE, text=True))
+            for limit in limits
+        ]
+        for limit, run in runs:
+            out, _ = run.communicate(timeout=60)
+            assert run.returncode == 0, out
+            assert json.loads(out)["result"]["density"] == expected[limit]
+    cache = ScanCache(tmp_path)
+    [(limit, failures)] = cache.load(poly)
+    assert limit in limits and failures == scan(F, limit).failures
+    assert list(tmp_path.iterdir()) == [cache.path_for(poly)]
 
 
 def test_verdict_on_huge_constant_term_finishes(tmp_path):

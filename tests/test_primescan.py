@@ -6,7 +6,15 @@ from itertools import permutations
 import pytest
 
 from exceptio import errors
-from exceptio.intpoly import SWEEP_THRESHOLD, discriminant, make_poly, multiply, parse_factors, product_of
+from exceptio.intpoly import (
+    SWEEP_THRESHOLD,
+    discriminant,
+    factored_text,
+    make_poly,
+    multiply,
+    parse_factors,
+    product_of,
+)
 from exceptio.primescan import (
     ScanCache,
     exceptional_verdict,
@@ -327,13 +335,19 @@ def test_cache_extension_preserves_prefix(tmp_path):
     f = product_of([make_poly([-2, 0, 1])])
     small = cache.scan_cached(f, 100)
     large = cache.scan_cached(f, 1000)
-    assert large == scan(f, 1000)
+    largest = cache.scan_cached(f, 3000)
+    assert large == scan(f, 1000) and largest == scan(f, 3000)
+    assert largest.failures[: len(large.failures)] == large.failures
     assert large.failures[: len(small.failures)] == small.failures
-    lines = cache.path_for(small.poly_key).read_text().splitlines()
-    assert len(lines) == 2 and lines[0].startswith("100\t") and lines[1].startswith("1000\t")
-    # shrinking below a recorded limit filters, never rescans
+    # a miss and two extensions leave one line, at the largest limit
+    path = cache.path_for(small.poly_key)
+    assert path.read_text() == "3000\t" + ",".join(map(str, largest.failures)) + "\n"
+    assert cache.load(small.poly_key) == [(3000, largest.failures)]
+    # shrinking below the recorded limit filters, never rescans or rewrites
     shrunk = cache.scan_cached(f, 50)
     assert shrunk == scan(f, 50)
+    assert cache.load(small.poly_key) == [(3000, largest.failures)]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cache_write_failure_raises_io_error(tmp_path):
@@ -345,37 +359,81 @@ def test_cache_write_failure_raises_io_error(tmp_path):
 
 
 def test_cache_corruption_falls_back_to_rescan(tmp_path):
+    # an unreadable line, or the multi-line log an earlier version appended,
+    # is rescanned once and replaced by one line
     cache = ScanCache(tmp_path)
     f = product_of([make_poly([-2, 0, 1])])
     report = cache.scan_cached(f, 100)
     path = cache.path_for(report.poly_key)
-    path.write_text("100\tnot,numbers\n")
-    with pytest.raises(errors.CorruptCacheEntry):
-        cache.load(report.poly_key)
-    again = cache.scan_cached(f, 100)
-    assert again == report
-    assert path.read_text().splitlines() == ["100\t" + ",".join(map(str, report.failures))]
+    line = "100\t" + ",".join(map(str, report.failures)) + "\n"
+    for text in ("100\tnot,numbers\n", "50\t3,5,11,13,19,29,37,43\n" + line):
+        path.write_text(text)
+        with pytest.raises(errors.CorruptCacheEntry):
+            cache.load(report.poly_key)
+        again = cache.scan_cached(f, 100)
+        assert again == report
+        assert path.read_text() == line
 
 
-def test_cache_load_checks_each_line(tmp_path):
-    # failures must rise strictly and end at or below the line's limit; an
-    # empty failure list is a line, a blank line is skipped
+def test_cache_load_checks_its_one_line(tmp_path):
+    # the file is one line whose failures rise strictly and end at or below
+    # its limit; anything else, the multi-line logs of earlier versions
+    # included, is corrupt
     cache = ScanCache(tmp_path)
     key = "x^2-2"
     path = cache.path_for(key)
     for text, expected in [
-        ("100\t3,5,5\n", None),
-        ("100\t3,7,5\n", None),
-        ("100\t3,5,101\n", None),
-        ("100\t\n", [(100, ())]),
-        ("\n100\t3,5\n  \n50\t3,5,50\n", [(50, (3, 5, 50)), (100, (3, 5))]),
+        (b"100\t3,5,5\n", None),
+        (b"100\t3,7,5\n", None),
+        (b"100\t3,5,101\n", None),
+        (b"100\t3,5", None),
+        (b"", None),
+        (b"\xff\xfe\n", None),
+        (b"100\t3,5\n1000\t3,5\n", None),
+        (b"\n100\t3,5\n", None),
+        (b"100\t\n", [(100, ())]),
+        (b"100\t3,5\n", [(100, (3, 5))]),
     ]:
-        path.write_text(text)
+        path.write_bytes(text)
         if expected is None:
             with pytest.raises(errors.CorruptCacheEntry):
                 cache.load(key)
         else:
             assert cache.load(key) == expected, text
+
+
+def test_cache_keeps_the_previous_entry_when_replace_fails(tmp_path, monkeypatch):
+    cache = ScanCache(tmp_path)
+    f = product_of([make_poly([-2, 0, 1])])
+    report = cache.scan_cached(f, 100)
+    path = cache.path_for(report.poly_key)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr("exceptio.primescan.os.replace", refuse)
+    with pytest.raises(errors.CacheIoError):
+        cache.scan_cached(f, 1000)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert cache.scan_cached(f, 100) == report
+
+
+def test_cache_never_reads_a_leftover_temp_file(tmp_path):
+    # a writer that died between its write and its replace leaves a temp
+    # file; its content, here a false claim of no failures, is never read
+    cache = ScanCache(tmp_path)
+    f = product_of([make_poly([-2, 0, 1])])
+    key = factored_text(f)
+    path = cache.path_for(key)
+    leftover = path.with_name(path.name + ".1.tmp")
+    leftover.write_text("100000\t\n")
+    assert cache.load(key) == []
+    assert cache.scan_cached(f, 1000) == scan(f, 1000)
+    assert cache.scan_cached(f, 500) == scan(f, 500)
+    assert leftover.read_text() == "100000\t\n"
 
 
 def test_pattern_frequencies_match_cycle_type_densities():

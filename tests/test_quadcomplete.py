@@ -6,13 +6,16 @@ import pytest
 
 from exceptio import errors
 from exceptio.intpoly import make_poly, parse_factors, parse_poly, poly_text, product_of
+from exceptio.nt import legendre_symbol
 from exceptio.primescan import exceptional_verdict, intersective_screen, scan
 from exceptio.quadcomplete import (
+    COMPLETE_D_CAP,
     CompletionCandidate,
     cubic_resolvent_completion,
     find_intersective_d,
-    legendre_symbol,
 )
+
+from oracles import intersective_d_by_walk
 
 
 def test_legendre_symbol_examples():
@@ -73,6 +76,28 @@ def test_find_intersective_d_frozen():
         find_intersective_d([3, 5, 7, 11, 13], 20)
     with pytest.raises(errors.BadParameters):
         find_intersective_d([4], 100)
+    # the bound is capped; the scan never reaches the cap when a d exists
+    assert find_intersective_d([], COMPLETE_D_CAP).d == 17
+    for bound in (1, COMPLETE_D_CAP + 1):
+        with pytest.raises(errors.BadParameters):
+            find_intersective_d([3], bound)
+
+
+def test_find_intersective_d_matches_the_full_walk():
+    # only d = 1 mod 8 is tried, residue tests first; the answer is the one
+    # the walk over every d finds
+    rng = random.Random(22)
+    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for _ in range(40):
+        bad = rng.sample(pool, rng.randint(0, 6))
+        bound = rng.choice([2, 9, 100, 1000, 20_000])
+        expected = intersective_d_by_walk(bad, bound)
+        if expected is None:
+            with pytest.raises(errors.NoCandidateInRange):
+                find_intersective_d(bad, bound)
+        else:
+            certificates = {p: 1 for p in sorted(set(bad) - {2})}
+            assert find_intersective_d(bad, bound) == (expected, 1, certificates), (bad, bound)
 
 
 def test_candidate_invariants():

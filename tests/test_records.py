@@ -4,7 +4,7 @@ import pytest
 
 from exceptio.goodsets import make_form_set, min_good_size
 from exceptio.intpoly import factorisation_pattern, parse_factors, reduce_mod
-from exceptio.kummer import is_exceptional_full, make_prime_set, make_radicand_set
+from exceptio.kummer import PrimeSet, is_exceptional_full, make_prime_set, make_radicand_set
 from exceptio.permgroup import dihedral_group, index2_subgroups, unique_fp_coset_condition
 from exceptio.primescan import exceptional_verdict, scan, sieve_primes
 from exceptio.quadcomplete import find_intersective_d
@@ -61,5 +61,10 @@ def test_records_are_frozen_hashable_and_compared_by_field():
 
 
 def test_prime_set_length_is_its_prime_count():
-    assert len(make_prime_set([7, 2, 3, 5])) == 4
-    assert not make_prime_set([])
+    # PrimeSet keeps tuple semantics: its primes are counted by len(L.primes),
+    # and _replace builds a new set
+    L = make_prime_set([7, 2, 3, 5])
+    assert len(L.primes) == 4
+    assert not make_prime_set([]).primes
+    assert L._replace(primes=(2, 3)) == make_prime_set([3, 2])
+    assert PrimeSet._make([(2, 3)]) == make_prime_set([2, 3])
