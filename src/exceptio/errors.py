@@ -118,10 +118,6 @@ class FactorizationTooLarge(ExceptioError):
 
 
 # quadcomplete
-class EvenOrCompositeP(ExceptioError):
-    code = "EvenOrCompositeP"
-
-
 class NotCubic(ExceptioError):
     code = "NotCubic"
 

@@ -185,41 +185,26 @@ def min_good_size(
     return SearchResult(None, None, nodes, True)
 
 
-def min_over_n(p: int, n_max: int, size_budget: int | None = None) -> SearchResult:
-    """Minimum good-set size over dimensions 1..n_max.
+def min_over_n(p: int, n_max: int) -> SearchResult:
+    """Minimum good-set size over dimensions 1..n_max, with the nodes
+    explored summed over the dimensions.
 
-    Later dimensions are only searched for strict improvements, which keeps
-    the combined search exhaustive whenever the per-dimension budgets allow
-    ruling out anything smaller than the reported minimum.
+    The first dimension with a good set is searched over all its forms,
+    later ones only for sizes below the best found so far, so the search is
+    always exhaustive: nothing smaller than the minimum exists up to n_max.
     """
     if n_max < 1:
         raise BadParameters("need at least one dimension")
-    best: SearchResult | None = None
+    best = SearchResult(None, None, 0, True)
     nodes = 0
-    searched: list[tuple[int, int]] = []
     for n in range(1, n_max + 1):
-        budget = 2**n - 1
-        if size_budget is not None:
-            budget = min(budget, size_budget)
-        if best is not None:
-            budget = min(budget, best.minimum - 1)
-        if budget < 1:
-            searched.append((n, 0))
-            continue
+        # no single form vanishes on all of F_p^n, so best.minimum - 1 >= 1
+        budget = 2**n - 1 if best.minimum is None else min(2**n - 1, best.minimum - 1)
         result = min_good_size(p, n, budget)
         nodes += result.nodes_explored
-        searched.append((n, budget))
-        if result.minimum is not None and (best is None or result.minimum < best.minimum):
+        if result.minimum is not None:
             best = result
-    if best is None:
-        exhaustive = all(
-            budget >= min(2**n - 1, size_budget or 2**n - 1) for n, budget in searched
-        )
-        return SearchResult(None, None, nodes, exhaustive)
-    exhaustive = all(
-        budget >= min(2**n - 1, best.minimum - 1) for n, budget in searched
-    )
-    return SearchResult(best.minimum, best.witness, nodes, exhaustive)
+    return best._replace(nodes_explored=nodes)
 
 
 def radicands_from_forms(T: FormSet, L: PrimeSet) -> RadicandSet:

@@ -386,10 +386,10 @@ def reduce_mod(f: IntPolynomial, p: int) -> ModPolynomial:
     return ModPolynomial(p, _mp_trim([c % p for c in f.coeffs]))
 
 
-def roots_mod_p(f: ModPolynomial, *, sweep_threshold: int = SWEEP_THRESHOLD) -> list[int]:
+def roots_mod_p(f: ModPolynomial) -> list[int]:
     """All residues x in [0, p) with f(x) = 0 mod p, sorted ascending.
 
-    Below the threshold every residue is tried directly.  Above it,
+    For p <= SWEEP_THRESHOLD every residue is tried directly.  Above it,
     gcd(f, x^p - x) isolates the linear part, whose roots are then split
     off by equal-degree splitting with deterministic shifts.
     """
@@ -399,7 +399,7 @@ def roots_mod_p(f: ModPolynomial, *, sweep_threshold: int = SWEEP_THRESHOLD) -> 
     a = f.coeffs
     if len(a) == 1:
         return []
-    if p == 2 or p <= sweep_threshold:
+    if p <= SWEEP_THRESHOLD:
         return [x for x in range(p) if _mp_eval(a, x, p) == 0]
     xp = _mp_pow_mod((0, 1), p, a, p)
     linear_part = _mp_gcd(a, _mp_sub(xp, (0, 1), p), p)

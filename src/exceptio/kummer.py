@@ -98,9 +98,11 @@ class ExponentMap(NamedTuple):
 
 def consecutive_products(L: PrimeSet, p: int) -> RadicandSet:
     """All products of nonempty runs of consecutive elements of L; there are
-    n(n+1)/2 of them for |L| = n."""
+    n(n+1)/2 of them for |L| = n.  L is their support, so a set the exact
+    walk would refuse is refused before any product is factored."""
     if not L.primes:
         raise EmptySet("prime set is empty")
+    check_enumeration_bounds(p, len(L.primes))
     products = []
     for i in range(len(L.primes)):
         value = 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import EvenOrCompositeP, FactorizationTooLarge
+from .errors import FactorizationTooLarge
 
 # Deterministic Miller-Rabin witnesses: the first twelve primes decide every
 # n below MR_DETERMINISTIC_LIMIT, about 3.2 * 10^23 (Sorenson and Webster 2015).
@@ -37,14 +37,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Euler's criterion, mapped into {-1, 0, 1}."""
-    if p == 2 or not is_prime(p):
-        raise EvenOrCompositeP(f"{p} is not an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -56,7 +56,6 @@ class PermutationGroup(NamedTuple):
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
-    cap: int = DEFAULT_CAP
 
     @property
     def order(self) -> int:
@@ -88,21 +87,20 @@ def _closure(gens, cap: int) -> set[Perm]:
     return elems
 
 
-def generate_group(gens, cap: int = DEFAULT_CAP) -> PermutationGroup:
-    """Breadth-first closure of the generators under composition."""
+def generate_group(gens) -> PermutationGroup:
+    """Breadth-first closure of the generators under composition, refused
+    past DEFAULT_CAP elements."""
     gens = tuple(tuple(g) for g in gens)
     if not gens:
         raise BadParameters("need at least one generator (use the identity)")
-    if cap < 1:
-        raise BadParameters("cap must be positive")
     degree = len(gens[0])
     for g in gens:
         if len(g) != degree:
             raise DegreeMismatch("generators act on different point counts")
         if not is_permutation(g):
             raise BadParameters(f"{g} is not a permutation")
-    elements = tuple(sorted(_closure(gens, cap)))
-    return PermutationGroup(degree, gens, elements, cap)
+    elements = tuple(sorted(_closure(gens, DEFAULT_CAP)))
+    return PermutationGroup(degree, gens, elements)
 
 
 def has_fixed_point_coverage(G: PermutationGroup):
@@ -143,57 +141,76 @@ def is_transitive(G: PermutationGroup) -> bool:
     return orbit_count(G) == 1
 
 
-def _sign_labels(G: PermutationGroup, signs) -> dict[Perm, int] | None:
-    """Propagate one sign per generator along every Cayley edge g -> g s
-    from the identity: the labels of all elements, or None at the first
-    edge whose ends disagree.  A consistent labelling is a homomorphism
-    onto {1, -1}, so its kernel is a subgroup of index at most two."""
+def _parity_labels(G: PermutationGroup) -> tuple[dict[Perm, int], dict[int, int]]:
+    """One walk of the Cayley graph g -> g s from the identity.  Each element
+    is labelled with the F_2 vector (bit i for generator i) of its tree path;
+    each other edge gives a relation, the sum of its ends' labels and its
+    generator.  The distinct relations are reduced to a basis keyed by top
+    bit.  A sign vector t orthogonal to every relation labels every edge
+    consistently, so g -> t.label[g] is a homomorphism onto F_2 whose kernel
+    has index at most two."""
     e = identity(G.degree)
-    label = {e: 1}
+    label = {e: 0}
+    relations = set()
     frontier = [e]
     while frontier:
         fresh = []
         for g in frontier:
             lg = label[g]
-            for s, sign in zip(G.generators, signs):
+            for i, s in enumerate(G.generators):
                 h = tuple(g[x] for x in s)
                 known = label.get(h)
                 if known is None:
-                    label[h] = lg * sign
+                    label[h] = lg ^ (1 << i)
                     fresh.append(h)
-                elif known != lg * sign:
-                    return None
+                else:
+                    relations.add(known ^ lg ^ (1 << i))
         frontier = fresh
-    return label
+    basis: dict[int, int] = {}
+    for r in relations:
+        while r and r.bit_length() - 1 in basis:
+            r ^= basis[r.bit_length() - 1]
+        if r:
+            basis[r.bit_length() - 1] = r
+    return label, basis
+
+
+def _odd(t: int, v: int) -> int:
+    return (t & v).bit_count() & 1
 
 
 def index2_subgroups(G: PermutationGroup) -> list[tuple[Perm, ...]]:
-    """All index-two subgroups: the kernels of the sign assignments to the
-    generators, not all +1, that label the Cayley graph consistently."""
+    """All index-two subgroups: the kernels of the nonzero sign vectors
+    orthogonal to every relation of the parity labelling.  They are built
+    one generator at a time: the basis relation with top bit i, if any,
+    fixes bit i from the lower bits; otherwise bit i is free."""
     if G.order % 2:
         return []
-    kernels = set()
-    for signs in itertools.product((1, -1), repeat=len(G.generators)):
-        label = _sign_labels(G, signs) if -1 in signs else None
-        if label is not None:
-            kernels.add(tuple(g for g in G.elements if label[g] == 1))
-    return sorted(kernels)
+    label, basis = _parity_labels(G)
+    signs = [0]
+    for i in range(len(G.generators)):
+        r = basis.get(i)
+        if r is None:
+            signs += [t | (1 << i) for t in signs]
+        else:
+            signs = [t | (_odd(t, r) << i) for t in signs]
+    return sorted(tuple(g for g in G.elements if not _odd(t, label[g])) for t in signs[1:])
 
 
 def unique_fp_coset_condition(G: PermutationGroup, H) -> CosetCheck:
     """Check that every element outside the index-two subgroup H fixes
     exactly one point.
 
-    H is validated by the labelling that signs each generator +1 inside H
-    and -1 outside: H is an index-two subgroup iff it holds half of G's
-    elements, the labelling is consistent, and H is its kernel."""
+    H is validated by the parity labelling: the sign vector t with bit i set
+    for each generator outside H must be nonzero and orthogonal to every
+    relation, and H must be its kernel."""
     members = {tuple(h) for h in H}
-    label = None
-    if 2 * len(members) == G.order:
-        label = _sign_labels(G, [1 if s in members else -1 for s in G.generators])
-    if label is None or {g for g in G.elements if label[g] == 1} != members:
+    label, basis = _parity_labels(G)
+    t = sum(1 << i for i, s in enumerate(G.generators) if s not in members)
+    outside = {g for g, v in label.items() if _odd(t, v)}
+    if not t or any(_odd(t, r) for r in basis.values()) or label.keys() - outside != members:
         raise NotIndexTwo("H is not an index-two subgroup of G")
-    violations = tuple(g for g in G.elements if label[g] == -1 and fixed_point_count(g) != 1)
+    violations = tuple(g for g in G.elements if g in outside and fixed_point_count(g) != 1)
     return CosetCheck(not violations, violations)
 
 
@@ -214,7 +231,7 @@ def dihedral_group(n: int) -> PermutationGroup:
         raise DegreeTooSmall("dihedral group needs n >= 3")
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((n - i) % n for i in range(n))
-    G = generate_group([rotation, reflection], cap=max(DEFAULT_CAP, 2 * n))
+    G = generate_group([rotation, reflection])
     assert G.order == 2 * n
     return G
 
@@ -228,7 +245,7 @@ def frobenius_group(p: int, q: int) -> PermutationGroup:
     a = pow(primitive_root(p), (p - 1) // q, p)
     translation = tuple((i + 1) % p for i in range(p))
     scaling = tuple(a * i % p for i in range(p))
-    G = generate_group([translation, scaling], cap=max(DEFAULT_CAP, p * q))
+    G = generate_group([translation, scaling])
     assert G.order == p * q
     return G
 
@@ -281,7 +298,7 @@ def all_transitive_subgroups(n: int) -> list[PermutationGroup]:
             if conjugate not in seen:
                 seen.add(conjugate)
                 conj_gens = tuple(tuple(s[g[i]] for i in s_inv) for g in gens)
-                groups.append(PermutationGroup(n, conj_gens, tuple(sorted(conjugate)), cap))
+                groups.append(PermutationGroup(n, conj_gens, tuple(sorted(conjugate))))
     groups.sort(key=lambda G: (G.order, G.elements))
     return groups
 
@@ -344,7 +361,7 @@ def format_cycles(g: Perm) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermutationGroup:
+def parse_group_file(text: str) -> PermutationGroup:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("empty group file")
@@ -360,7 +377,7 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermutationGroup:
     gens = [parse_cycles(line, degree) for line in lines[1:]]
     if not gens:
         gens = [identity(degree)]
-    return generate_group(gens, cap)
+    return generate_group(gens)
 
 
 def group_payload(G: PermutationGroup) -> dict:

@@ -57,7 +57,6 @@ SCREEN_CAP = 10**6
 
 
 class PrimeTable(NamedTuple):
-    limit: int
     primes: tuple[int, ...]
 
 
@@ -84,24 +83,25 @@ class Verdict(NamedTuple):
     failures: tuple[int, ...] | None = None
 
 
-def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> PrimeTable:
-    """All primes up to limit by an odd-only sieve of Eratosthenes."""
-    _check_sieve_limit(limit, cap)
-    return PrimeTable(limit, _sieve_cached(limit))
+def sieve_primes(limit: int) -> PrimeTable:
+    """All primes up to limit by an odd-only sieve of Eratosthenes, for
+    2 <= limit <= SIEVE_CAP (BadParameters below, LimitTooLarge above)."""
+    _check_sieve_limit(limit)
+    return PrimeTable(_sieve_cached(limit))
 
 
 def prime_count(limit: int) -> int:
     """The number of primes up to limit, counted from the sieve flags
     without building the primes; the same errors as `sieve_primes`."""
-    _check_sieve_limit(limit, SIEVE_CAP)
+    _check_sieve_limit(limit)
     return 1 + _odd_prime_flags(limit).count(1)
 
 
-def _check_sieve_limit(limit: int, cap: int) -> None:
+def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise BadParameters("sieve limit must be at least 2")
-    if limit > cap:
-        raise LimitTooLarge(f"sieve limit {limit} exceeds cap {cap}")
+    if limit > SIEVE_CAP:
+        raise LimitTooLarge(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
 
 
 @lru_cache(maxsize=8)

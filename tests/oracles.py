@@ -98,6 +98,19 @@ def roots_by_sweep(f: list[int], p: int) -> list[int]:
     return [x for x in range(p) if eval_poly(f, x) % p == 0]
 
 
+class EvenOrCompositeP(ValueError):
+    """`legendre_symbol` was given a modulus that is not an odd prime."""
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """Euler's criterion, mapped into {-1, 0, 1}; p is proved an odd prime
+    by trial division."""
+    if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise EvenOrCompositeP(f"{p} is not an odd prime")
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def primes_by_trial_division(limit: int) -> list[int]:
     out = []
     for n in range(2, limit + 1):
@@ -307,6 +320,39 @@ def is_index_two_subgroup(G, H) -> bool:
     if tuple(range(G.degree)) not in members or not members <= set(G.elements):
         return False
     return all(tuple(a[x] for x in b) in members for a in members for b in members)
+
+
+def index2_subgroups_by_sign_sweep(G) -> list[tuple[tuple[int, ...], ...]]:
+    """All index-two subgroups of G (anything with `degree`, `generators`
+    and `elements`) by trying each of the 2^k - 1 non-trivial assignments
+    of a sign to each of the k generators: an assignment that labels every
+    Cayley edge g -> g s consistently from the identity is a homomorphism
+    onto {1, -1}, and its kernel is kept."""
+    from itertools import product
+
+    def labels(signs):
+        e = tuple(range(G.degree))
+        label = {e: 1}
+        frontier = [e]
+        while frontier:
+            fresh = []
+            for g in frontier:
+                for s, sign in zip(G.generators, signs):
+                    h = tuple(g[x] for x in s)
+                    if h not in label:
+                        label[h] = label[g] * sign
+                        fresh.append(h)
+                    elif label[h] != label[g] * sign:
+                        return None
+            frontier = fresh
+        return label
+
+    kernels = set()
+    for signs in product((1, -1), repeat=len(G.generators)):
+        label = labels(signs) if -1 in signs else None
+        if label is not None:
+            kernels.add(tuple(g for g in G.elements if label[g] == 1))
+    return sorted(kernels)
 
 
 def transitive_subgroups_by_closure(n: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -313,6 +313,27 @@ def test_kummer_on_large_prime_radicand_finishes():
     assert result["witness"]["twists"] == {"2": 1, "100000000000000000039": 1}
 
 
+def test_group_with_thirty_generators_finishes(tmp_path):
+    # 30 generator lines: the index-two search walks the Cayley graph once, whatever the count
+    lines = [f"({i} {j})" for i in range(6) for j in range(i + 1, 6)] * 2
+    path = tmp_path / "s6.group"
+    path.write_text("degree 6\n" + "\n".join(lines) + "\n")
+    done = _run_module("group", "--group-file", str(path))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["order"] == 720
+    assert result["quad_completion"] is None
+
+
+def test_kummer_on_400_primes_is_refused_before_building():
+    from exceptio.primescan import sieve_primes
+
+    primes = ",".join(map(str, sieve_primes(3000).primes[:400]))
+    done = _run_module("kummer", "--p", "3", "--primes", primes)
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["error"]["code"] == "EnumerationTooLarge"
+
+
 def test_group_on_s8_finishes(tmp_path):
     # index-two subgroups are checked by one sign labelling of the Cayley
     # graph, not by composing every pair of their elements

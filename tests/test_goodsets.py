@@ -138,12 +138,32 @@ def test_min_over_n_closing_values():
         assert min_over_n(p, 4).minimum == p * (p + 1) // 2
 
 
-def test_min_over_n_with_size_budget():
-    # "absent within the budget" is itself an exhaustive claim
-    capped = min_over_n(3, 4, size_budget=2)
-    assert capped.minimum is None and capped.exhaustive
-    # a budget at the minimum still finds it
-    assert min_over_n(3, 4, size_budget=6).minimum == 6
+# min_over_n payloads for p = 2, 3, 5, 7 and n_max = 1..4, as (min, witness,
+# nodes_explored); every one is exhaustive
+MIN_OVER_N_PAYLOADS = {
+    (2, 1): (None, None, 1),
+    (2, 2): (3, [[0], [1], [0, 1]], 8),
+    (2, 3): (3, [[0], [1], [0, 1]], 14),
+    (2, 4): (3, [[0], [1], [0, 1]], 27),
+    (3, 1): (None, None, 1),
+    (3, 2): (None, None, 4),
+    (3, 3): (6, [[0], [1], [2], [0, 1], [0, 2], [0, 1, 2]], 25),
+    (3, 4): (6, [[0], [1], [2], [0, 1], [0, 2], [0, 1, 2]], 236),
+    (5, 1): (None, None, 1),
+    (5, 2): (None, None, 4),
+    (5, 3): (None, None, 11),
+    (5, 4): (None, None, 26),
+    (7, 1): (None, None, 1),
+    (7, 2): (None, None, 4),
+    (7, 3): (None, None, 11),
+    (7, 4): (None, None, 26),
+}
+
+
+def test_min_over_n_payloads_frozen():
+    for (p, n_max), (minimum, witness, nodes) in MIN_OVER_N_PAYLOADS.items():
+        expected = {"min": minimum, "witness": witness, "exhaustive": True, "nodes_explored": nodes}
+        assert search_payload(min_over_n(p, n_max)) == expected, (p, n_max)
 
 
 def test_p5_search_reports_bounds_only():

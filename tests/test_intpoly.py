@@ -168,7 +168,8 @@ def test_roots_mod_p_examples():
 
 
 def test_roots_mod_p_strategies_agree():
-    # sweep vs Frobenius-gcd over 200 random polynomials at primes up to 10^4
+    # the residue sweep (p <= 256) and the Frobenius gcd (above) against the
+    # oracle's sweep, over 200 random polynomials at primes up to 10^4
     rng = random.Random(20260809)
     small = [2, 3, 5, 7, 11, 13]
     bigger = [101, 257, 1009, 2003, 4099, 6367, 8191, 9973]
@@ -179,13 +180,11 @@ def test_roots_mod_p_strategies_agree():
         f = reduce_mod(make_poly(coeffs), p)
         if f.is_zero:
             continue
-        swept = roots_mod_p(f, sweep_threshold=p)
-        split = roots_mod_p(f, sweep_threshold=1)
-        assert swept == split == sorted(roots_by_sweep(list(coeffs), p))
+        assert roots_mod_p(f) == roots_by_sweep(list(coeffs), p)
 
 
 def test_roots_mod_p_split_path_with_many_roots():
-    # force the equal-degree splitting path on products of known linears
+    # the equal-degree splitting path on products of known linears
     rng = random.Random(606)
     p = 1_000_003
     for _ in range(10):
@@ -193,7 +192,7 @@ def test_roots_mod_p_split_path_with_many_roots():
         f = make_poly([1])
         for r in wanted:
             f = multiply(f, make_poly([-r, 1]))
-        got = roots_mod_p(reduce_mod(f, p), sweep_threshold=1)
+        got = roots_mod_p(reduce_mod(f, p))
         assert got == wanted
 
 

@@ -96,6 +96,10 @@ def test_consecutive_products_examples():
     for n in range(1, 7):
         L = make_prime_set([2, 3, 5, 7, 11, 13][:n])
         assert len(consecutive_products(L, 2).radicands) == n * (n + 1) // 2
+    # 13 primes exceed SUPPORT_CAP: refused before the 91 products are built
+    L = make_prime_set([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+    with pytest.raises(errors.EnumerationTooLarge, match="3\\^13 points"):
+        consecutive_products(L, 3)
 
 
 def test_build_kummer_poly():

@@ -29,7 +29,7 @@ from exceptio.permgroup import (
     unique_fp_coset_condition,
 )
 
-from oracles import is_index_two_subgroup, transitive_subgroups_by_closure
+from oracles import index2_subgroups_by_sign_sweep, is_index_two_subgroup, transitive_subgroups_by_closure
 
 C3 = generate_group([(1, 2, 0)])
 S3 = generate_group([(1, 2, 0), (1, 0, 2)])
@@ -50,8 +50,8 @@ def test_generate_group_examples():
     )
     with pytest.raises(errors.DegreeMismatch):
         generate_group([(1, 0), (1, 2, 0)])
-    with pytest.raises(errors.GroupTooLarge):
-        generate_group([(1, 2, 3, 0)], cap=3)
+    with pytest.raises(errors.GroupTooLarge):  # S9 has 362 880 > DEFAULT_CAP elements
+        parse_group_file("degree 9\n(0 1 2 3 4 5 6 7 8)\n(0 1)\n")
 
 
 def test_group_closure_properties():
@@ -114,6 +114,17 @@ def test_index2_subgroups():
     assert len(subs) == 1
     rotations = tuple(sorted(tuple((i + k) % 5 for i in range(5)) for k in range(5)))
     assert subs[0] == rotations
+
+
+def test_index2_subgroups_match_the_sign_sweep():
+    # one parity labelling against trying every sign assignment
+    rng = random.Random(2407)
+    groups = [G for n in (3, 4, 5) for G in all_transitive_subgroups(n)]
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        groups.append(generate_group([tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 6))]))
+    for G in groups:
+        assert index2_subgroups(G) == index2_subgroups_by_sign_sweep(G), G.generators
 
 
 def _all_subgroups_brute(G):

@@ -49,8 +49,6 @@ def test_sieve_examples():
     assert sieve_primes(10).primes == (2, 3, 5, 7)
     assert len(sieve_primes(100).primes) == 25
     assert sieve_primes(2).primes == (2,)
-    with pytest.raises(errors.LimitTooLarge):
-        sieve_primes(100, cap=50)
     for sieve in (sieve_primes, prime_count):
         with pytest.raises(errors.LimitTooLarge):
             sieve(10**9 + 1)

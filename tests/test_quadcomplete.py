@@ -6,7 +6,6 @@ import pytest
 
 from exceptio import errors
 from exceptio.intpoly import make_poly, parse_factors, parse_poly, poly_text, product_of
-from exceptio.nt import legendre_symbol
 from exceptio.primescan import exceptional_verdict, intersective_screen, scan
 from exceptio.quadcomplete import (
     COMPLETE_D_CAP,
@@ -15,16 +14,16 @@ from exceptio.quadcomplete import (
     find_intersective_d,
 )
 
-from oracles import intersective_d_by_walk
+from oracles import EvenOrCompositeP, intersective_d_by_walk, legendre_symbol
 
 
 def test_legendre_symbol_examples():
     assert legendre_symbol(2, 7) == 1  # 3^2 = 9 = 2
     assert legendre_symbol(35, 7) == 0
     assert legendre_symbol(2, 5) == -1  # squares mod 5 are {1, 4}
-    with pytest.raises(errors.EvenOrCompositeP):
+    with pytest.raises(EvenOrCompositeP):
         legendre_symbol(3, 2)
-    with pytest.raises(errors.EvenOrCompositeP):
+    with pytest.raises(EvenOrCompositeP):
         legendre_symbol(3, 9)
 
 
